@@ -65,13 +65,15 @@ class NumericalError(OrbitForgeError):
     """A computation ran but failed its own accuracy certificate.
 
     ``residual`` holds the measured defect when one is available; ``floor``
-    holds the float64 rounding floor when that is what stopped the run.
+    holds the float64 rounding floor when that is what stopped the run, and
+    ``bound`` the tolerance that could not be certified.
     """
 
-    def __init__(self, message, residual=None, floor=None):
+    def __init__(self, message, residual=None, floor=None, bound=None):
         super().__init__(message)
         self.residual = residual
         self.floor = floor
+        self.bound = bound
 
 
 class ConfigError(OrbitForgeError):

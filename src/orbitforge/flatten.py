@@ -51,7 +51,7 @@ from .operators import (
     apply_power,
 )
 from .spectra import hull_contains_zero, spectral_descriptor
-from .vectors import BudgetMeter, WindowVector, inner
+from .vectors import BudgetMeter, WindowVector, cross_gram, gram, inner
 
 __all__ = [
     "DecayProfile",
@@ -172,7 +172,7 @@ def weak_decay_probe(op, probe_vectors, horizon):
     values = np.zeros(horizon + 1)
     orbits = list(probes)
     for n in range(horizon + 1):
-        values[n] = max(abs(inner(a, b)) for a in orbits for b in probes)
+        values[n] = np.max(np.abs(cross_gram(orbits, probes)))
         if n < horizon:
             orbits = [op.apply(a) for a in orbits]
     nb = op.norm_bound()
@@ -432,16 +432,6 @@ def _verify_flat(op, x, eps, targets, schedule, rng):
 # -- flat subspaces ---------------------------------------------------------------
 
 
-def _compression_matrix(op, vectors, n):
-    d = len(vectors)
-    images = [apply_power(op, v, n) for v in vectors]
-    c = np.empty((d, d), np.complex128)
-    for i in range(d):
-        for j in range(d):
-            c[i, j] = inner(images[j], vectors[i])
-    return c
-
-
 def flat_subspace(op, eps, d, window_budget=None, rng=None):
     """Orthonormal y_1..y_d compressing every positive power below eps.
 
@@ -498,8 +488,7 @@ def flat_subspace(op, eps, d, window_budget=None, rng=None):
         live[: r + 1, : r + 1] = 0.0  # stages <= r are dead past times[r]
         stage_bounds.append(float(np.linalg.norm(live, 2)))
 
-    gram = np.array([[inner(b, a) for b in vectors] for a in vectors])
-    gram_defect = float(np.max(np.abs(gram - np.eye(d))))
+    gram_defect = float(np.max(np.abs(gram(vectors) - np.eye(d))))
 
     # honest samples: one realized difference per stage pair, plus a random
     # power and the beyond-horizon zero
@@ -517,7 +506,7 @@ def flat_subspace(op, eps, d, window_budget=None, rng=None):
 
     per_n = []
     for n in sorted(samples):
-        c = _compression_matrix(op, vectors, n)
+        c = cross_gram([apply_power(op, v, n) for v in vectors], vectors).T
         norm = float(np.linalg.norm(c, 2))
         w, _theta = numerical_radius(c)
         dead = sum(1 for t in times if t <= n)

@@ -49,12 +49,12 @@ from .operators import (
     QuadraticIrrationalRotation,
     Subspace,
     UnilateralShift,
-    apply_power,
     as_power,
     compress,
+    power_forms,
 )
 from .spectra import circle_in_pi_essential, shift_eigen_window
-from .vectors import BudgetMeter, WindowVector, inner, normalize
+from .vectors import BudgetMeter, WindowVector, gram, inner, normalize
 
 TWO_PI = 2.0 * math.pi
 
@@ -379,7 +379,7 @@ def we_membership_witness(
         x, params = _realize_on_diagonal(base, measure, powers, delta, constraints, meter)
         realization = "diagonal_indices"
 
-    measured = np.array([inner(apply_power(base, x, p), x) for p in powers])
+    measured = power_forms(base, powers, x)
     defects = np.abs(measured - mu)
     if np.max(defects) > delta:
         raise NumericalError(
@@ -442,8 +442,7 @@ def diagonal_compression_subspace(op, lam, n, dim=2, delta=1e-3, window_budget=N
         )
         vectors.append(res.vector)
     sub = Subspace(vectors)
-    gram = np.array([[inner(u, v) for v in vectors] for u in vectors])
-    gram_defect = float(np.max(np.abs(gram - np.eye(dim))))
+    gram_defect = float(np.max(np.abs(gram(vectors) - np.eye(dim))))
     defects = []
     for p in range(1, n + 1):
         comp = compress(OperatorPower(op, p), sub)

@@ -20,7 +20,7 @@ from .errors import (
     ResolutionError,
     UnsupportedModelError,
 )
-from .vectors import WindowVector, inner
+from .vectors import WindowVector, cross_gram, inner
 
 TWO_PI = 2.0 * math.pi
 
@@ -624,6 +624,11 @@ def apply_power(op, v, n):
     return v
 
 
+def power_forms(op, powers, x):
+    """The forms <T^p x, x> for p in ``powers``, as one column of cross_gram."""
+    return cross_gram([apply_power(op, x, p) for p in powers], [x])[:, 0]
+
+
 def same_space(ops):
     """True when all operators act on one index set (and dimension)."""
     ops = list(ops)
@@ -678,12 +683,6 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
-    def project(self, v):
-        out = WindowVector.zero()
-        for b in self.basis:
-            out = out + inner(v, b) * b
-        return out
-
     def complement_part(self, v):
         """v minus its projection (one extra sweep to polish orthogonality)."""
         for _ in range(2):
@@ -698,10 +697,4 @@ class Subspace:
 
 def compress(op, subspace):
     """Matrix of the compression P_L T P_L in the subspace basis."""
-    k = subspace.dim
-    out = np.zeros((k, k), np.complex128)
-    for j, b in enumerate(subspace.basis):
-        tb = op.apply(b)
-        for i, c in enumerate(subspace.basis):
-            out[i, j] = inner(tb, c)
-    return out
+    return cross_gram([op.apply(b) for b in subspace.basis], subspace.basis).T

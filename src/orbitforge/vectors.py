@@ -10,6 +10,14 @@ representation is load-bearing and not an optimization.
 
 Inner products are linear in the FIRST slot: ``inner(u, v) = sum u_i *
 conj(v_i)``.  All stored arrays are frozen (``writeable=False``).
+
+The kernel never sorts.  ``inner`` answers disjoint index ranges and equal
+supports at once and ``add_scaled`` concatenates disjoint ranges; otherwise
+both look one support up in the other with ``searchsorted``.  Every Gram and
+compression matrix goes through :func:`cross_gram`: a family whose joint
+index span is at most twice its largest support is scattered into dense
+column blocks, one BLAS product each; a sparser family falls back to
+pairwise ``inner``.
 """
 
 from __future__ import annotations
@@ -184,9 +192,6 @@ class WindowVector:
     def __neg__(self):
         return self * (-1.0)
 
-    def conj(self):
-        return WindowVector(self.indices, np.conj(self.values), _checked=True)
-
     def translate(self, k):
         """Shift every index by k (exact; the value array is shared)."""
         if len(self.indices) == 0 or k == 0:
@@ -239,44 +244,115 @@ class WindowVector:
 
 
 def add_scaled(u, v, alpha, beta):
-    """alpha*u + beta*v with a single sorted merge."""
+    """alpha*u + beta*v without sorting; exact zeros are dropped.
+
+    Disjoint index ranges are concatenated.  Otherwise v's support is looked
+    up in u's with ``searchsorted``: shared indices add in place and the rest
+    are interleaved at their insertion points.
+    """
     if len(u) == 0:
         return v * beta
     if len(v) == 0:
         return u * alpha
-    idx = np.concatenate([u.indices, v.indices])
-    val = np.concatenate([u.values * alpha, v.values * beta])
-    order = np.argsort(idx, kind="stable")
-    idx, val = idx[order], val[order]
-    uniq, start = np.unique(idx, return_index=True)
-    summed = np.add.reduceat(val, start)
-    return WindowVector(uniq, summed)
+    a = u.values * alpha
+    b = v.values * beta
+    if u.indices[-1] < v.indices[0]:
+        return WindowVector(np.concatenate([u.indices, v.indices]), np.concatenate([a, b]))
+    if v.indices[-1] < u.indices[0]:
+        return WindowVector(np.concatenate([v.indices, u.indices]), np.concatenate([b, a]))
+    pos = np.searchsorted(u.indices, v.indices)
+    hit = u.indices[np.minimum(pos, len(u) - 1)] == v.indices
+    a[pos[hit]] += b[hit]
+    fresh = ~hit
+    # the j-th fresh entry of v goes before u[pos] and after the j fresh ones before it
+    slots = pos[fresh] + np.arange(np.count_nonzero(fresh))
+    old = np.ones(len(a) + len(slots), bool)
+    old[slots] = False
+    idx = np.empty(len(old), np.int64)
+    val = np.empty(len(old), np.complex128)
+    idx[old], val[old] = u.indices, a
+    idx[slots], val[slots] = v.indices[fresh], b[fresh]
+    return WindowVector(idx, val)
+
+
+def _shared(a, b):
+    """Selectors (of a, of b) of the indices two sorted arrays share, by a
+    ``searchsorted`` of the shorter array into the longer."""
+    if len(a) > len(b):
+        sel_b, sel_a = _shared(b, a)
+        return sel_a, sel_b
+    pos = np.searchsorted(b, a)
+    hit = b[np.minimum(pos, len(b) - 1)] == a
+    return hit, pos[hit]
 
 
 def inner(u, v):
-    """<u, v> = sum_i u_i * conj(v_i)  (linear in the first slot)."""
-    if len(u) == 0 or len(v) == 0:
+    """<u, v> = sum_i u_i * conj(v_i)  (linear in the first slot).
+
+    Disjoint index ranges give 0j at once and equal supports one direct sum.
+    Otherwise each support is cut to the other's index range before the
+    lookup of :func:`_shared`.  Terms are summed in increasing index order.
+    """
+    a, b = u.indices, v.indices
+    if len(a) == 0 or len(b) == 0 or a[-1] < b[0] or b[-1] < a[0]:
         return 0j
-    common, iu, iv = np.intersect1d(
-        u.indices, v.indices, assume_unique=True, return_indices=True
-    )
-    if len(common) == 0:
-        return 0j
-    return complex(np.sum(u.values[iu] * np.conj(v.values[iv])))
+    if a is b or (
+        len(a) == len(b) and a[0] == b[0] and a[-1] == b[-1] and np.array_equal(a, b)
+    ):
+        return complex(np.sum(u.values * np.conj(v.values)))
+    cut_a = slice(np.searchsorted(a, b[0]), np.searchsorted(a, b[-1], "right"))
+    cut_b = slice(np.searchsorted(b, a[0]), np.searchsorted(b, a[-1], "right"))
+    sel_a, sel_b = _shared(a[cut_a], b[cut_b])
+    return complex(np.sum(u.values[cut_a][sel_a] * np.conj(v.values[cut_b][sel_b])))
+
+
+# entries per dense block of cross_gram (4 MB): 2^14 columns for 16 rows
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _dense_block(vectors, lo, width):
+    """Rows of ``vectors`` restricted to the columns [lo, lo + width)."""
+    block = np.zeros((len(vectors), width), np.complex128)
+    for row, v in zip(block, vectors):
+        start, stop = np.searchsorted(v.indices, (lo, lo + width))
+        row[v.indices[start:stop] - lo] = v.values[start:stop]
+    return block
+
+
+def cross_gram(us, vs):
+    """G[i, j] = <u_i, v_j> for two finite families.
+
+    When the joint index span is at most twice the largest support the
+    vectors are scattered into dense blocks of a few MB each, the right block
+    conjugated in place, and G accumulates one BLAS product per block;
+    otherwise G is filled with pairwise :func:`inner`.
+    """
+    us, vs = list(us), list(vs)
+    out = np.zeros((len(us), len(vs)), np.complex128)
+    supports = [v.indices for v in us + vs if len(v)]
+    if not supports:
+        return out
+    # Python ints: indices reach +-2^62, so the span may not fit in int64
+    lo = min(int(idx[0]) for idx in supports)
+    span = max(int(idx[-1]) for idx in supports) - lo + 1
+    if span <= 2 * max(map(len, supports)):
+        step = max(1, _BLOCK_ENTRIES // max(len(us), len(vs)))
+        for start in range(lo, lo + span, step):
+            width = min(step, lo + span - start)
+            right = _dense_block(vs, start, width)
+            # conjugated in place; .T is a view BLAS reads as a transpose
+            out += _dense_block(us, start, width) @ np.conj(right, out=right).T
+        return out
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            out[i, j] = inner(u, v)
+    return out
 
 
 def gram(vectors):
     """Gram matrix G[i, j] = <v_i, v_j> of a finite family."""
     vectors = list(vectors)
-    k = len(vectors)
-    out = np.zeros((k, k), np.complex128)
-    for i in range(k):
-        out[i, i] = vectors[i].norm() ** 2
-        for j in range(i + 1, k):
-            g = inner(vectors[i], vectors[j])
-            out[i, j] = g
-            out[j, i] = np.conj(g)
-    return out
+    return cross_gram(vectors, vectors)
 
 
 def normalize(v):
@@ -284,10 +360,6 @@ def normalize(v):
     if n == 0.0:
         raise DegenerateInputError("cannot normalize the zero vector")
     return v * (1.0 / n)
-
-
-def distance(u, v):
-    return (u - v).norm()
 
 
 def vector_to_json(v, kind="raw", params=None):

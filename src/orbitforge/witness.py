@@ -39,15 +39,9 @@ from .errors import (
 )
 from .moments import admissible_radius
 from .nrange import _resolve_power_tuple, _witness_circle_radius, we_membership_witness
-from .operators import (
-    BilateralShift,
-    DiagonalUnitary,
-    MultiplicationGrid,
-    UnilateralShift,
-    apply_power,
-)
+from .operators import DiagonalUnitary, MultiplicationGrid, power_forms
 from .spectra import approx_eigenvector_family, circle_in_pi_essential
-from .vectors import BudgetMeter, WindowVector, add_scaled, inner, normalize
+from .vectors import BudgetMeter, WindowVector, add_scaled, gram, inner, normalize
 
 TWO_PI = 2.0 * math.pi
 
@@ -158,13 +152,9 @@ def _orbit_data(base, x, n):
     for _ in range(n):
         cur = base.apply(cur)
         orbit.append(cur)
-    gram = np.empty((n, n), np.complex128)
-    for a in range(n):
-        for b in range(n):
-            gram[a, b] = inner(orbit[a], orbit[b])
     norms = np.array([v.norm() for v in orbit])
     recurrence = (orbit[n] - x).norm()
-    return gram, norms, recurrence
+    return gram(orbit[:n]), norms, recurrence
 
 
 def _orbit_checks(gram, norms, recurrence, n, eps):
@@ -184,10 +174,6 @@ def _orbit_checks(gram, norms, recurrence, n, eps):
 
 # ---------------------------------------------------------------------------
 # form zeroing
-
-
-def _measure_forms(base, powers, x):
-    return np.array([inner(apply_power(base, x, p), x) for p in powers])
 
 
 def _form_floor(base, powers, x, norm_sq):
@@ -234,7 +220,7 @@ def zero_iteration_step(
         raise PreconditionError(
             f"stage {stage} expects ||x||^2 = 1 - 2^-{stage}, got {norm_sq:.12f}"
         )
-    mu = _measure_forms(base, powers, x)
+    mu = power_forms(base, powers, x)
     cap = radius * 2.0 ** (-stage - 1)
     worst = float(np.max(np.abs(mu)))
     if worst > cap:
@@ -319,7 +305,7 @@ def zero_tuple_vector(
 
     start_norm = x.norm()
     if start is not None and abs(start_norm - 1.0) <= 1e-9:
-        forms = _measure_forms(base, powers, x)
+        forms = power_forms(base, powers, x)
         if np.all(np.abs(forms) <= tol):
             early_exit = True
             w = normalize(x)
@@ -333,7 +319,7 @@ def zero_tuple_vector(
         while True:
             norm_sq = x.norm() ** 2
             if norm_sq > 0:
-                forms = _measure_forms(base, powers, x)
+                forms = power_forms(base, powers, x)
                 ratio = float(np.max(np.abs(forms))) / norm_sq
                 if ratio <= tol * 0.999:
                     break
@@ -346,6 +332,7 @@ def zero_tuple_vector(
                         f"{floor:.3e}, so tol={tol:.3e} cannot be certified",
                         residual=ratio,
                         floor=floor,
+                        bound=tol,
                     )
             if k >= start_stage + max_stages:
                 raise NumericalError(
@@ -367,7 +354,7 @@ def zero_tuple_vector(
 
     n_max = max(powers)
     gram, norms, recurrence = _orbit_data(base, w, n_max)
-    final_forms = _measure_forms(base, powers, w)
+    final_forms = power_forms(base, powers, w)
     stage_dev = max(
         (abs(s["norm_sq"] - s["expected_norm_sq"]) for s in stages), default=0.0
     )
@@ -480,7 +467,7 @@ def almost_orthogonal_orbit(base, n, eps, window_budget=None):
         c_min += 1
     correction_applied = False
     if n >= 2:
-        forms = _measure_forms(base, range(1, n), x)
+        forms = power_forms(base, range(1, n), x)
         if np.max(np.abs(forms)) > HARD_TOL:
             radius = admissible_radius(1.0, n - 1)
             max_form = float(np.max(np.abs(forms)))

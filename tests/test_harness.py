@@ -1,9 +1,11 @@
 """Verification suites: replay determinism and deterministic report bytes."""
 
+import dataclasses
 import json
 
 import pytest
 
+from orbitforge import harness
 from orbitforge.errors import DegenerateInputError
 from orbitforge.harness import (
     CHECK_IDS,
@@ -23,6 +25,7 @@ from orbitforge.operators import (
     MultiplicationGrid,
     UnilateralShift,
 )
+from orbitforge.vectors import WindowVector
 
 
 def test_all_eight_suites_pass_at_defaults():
@@ -108,6 +111,39 @@ def test_certificate_failure_becomes_failed_check():
     assert c.diagnostics
     assert c.results[0].label == "construction_certificate"
     assert exit_code([c]) == 1
+
+
+def test_float_floor_failure_reports_the_requested_tol():
+    c = run_check("tuple_zeroing", {"powers": [1, 2], "tol": 1e-30})
+    (line,) = c.results
+    assert line.label == "construction_certificate"
+    assert line.bound == 1e-30
+    assert line.measured > line.bound
+    assert "floor" in c.diagnostics
+
+
+def test_rokhlin_check_measures_the_cyclic_link(monkeypatch):
+    # the last level becomes T w_{n-2} plus a far-away bump just under eps:
+    # every link j < n-1 stays below eps, only T w_{n-1} -> w_0 breaks it
+    real = harness.rokhlin_tower
+    op = BilateralShift()
+    eps = 0.25
+
+    def bent(*args, **kwargs):
+        tower = real(*args, **kwargs)
+        w = list(tower.w)
+        w[-1] = op.apply(w[-2]) + (eps * (1 - 1e-6)) * WindowVector.basis(10 ** 9)
+        return dataclasses.replace(tower, w=w)
+
+    monkeypatch.setattr(harness, "rokhlin_tower", bent)
+    c = run_check("rokhlin_tower", {"eps": eps})
+    tower = bent(op, 65, eps)
+    open_chain = max((op.apply(tower.w[j]) - tower.w[j + 1]).norm() for j in range(64))
+    assert open_chain < eps
+    links = next(r for r in c.results if r.label == "links")
+    assert links.measured >= eps
+    assert not links.passed
+    assert not c.passed()
 
 
 def test_moment_float_mode():

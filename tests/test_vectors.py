@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from orbitforge import vectors
 from orbitforge.errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -15,6 +18,7 @@ from orbitforge.vectors import (
     WINDOW_BUDGET_ENV,
     WindowVector,
     add_scaled,
+    cross_gram,
     gram,
     inner,
     normalize,
@@ -147,3 +151,178 @@ def test_budget_meter_enforces_cap():
         meter.charge(1)
     assert exc.value.required == 11
     assert exc.value.budget == 10
+
+
+# -- kernel equivalence: inner, cross_gram/gram and add_scaled against references
+
+LIMIT = 2 ** 62
+magnitude = st.floats(1e-6, 10.0)
+signed = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda x: -x))
+value = st.builds(complex, signed, signed)
+nonzero = st.builds(complex, magnitude, signed)
+index_sets = st.one_of(
+    st.lists(st.integers(-30, 30), max_size=12),
+    st.lists(st.integers(-(10 ** 15), 10 ** 15), max_size=12),
+    st.lists(
+        st.integers(LIMIT - 40, LIMIT - 1) | st.integers(-LIMIT + 1, -LIMIT + 40),
+        max_size=12,
+    ),
+)
+
+
+def values_for(draw, n, entries=value):
+    return np.array(draw(st.lists(entries, min_size=n, max_size=n)), np.complex128)
+
+
+def on(draw, indices, entries=value):
+    return WindowVector(indices, values_for(draw, len(indices), entries))
+
+
+@st.composite
+def support_pairs(draw):
+    """(u, v) whose supports are empty, disjoint, one array object, equal
+    copies, shifted overlaps or independent draws (which covers sparse
+    far-apart supports and indices near +-2^62)."""
+    u = on(draw, np.unique(np.array(draw(index_sets), np.int64)))
+    relation = draw(
+        st.sampled_from(("empty", "disjoint", "same", "copy", "shifted", "independent"))
+    )
+    if relation == "empty":
+        v = WindowVector.zero()
+    elif relation == "same":
+        factors = values_for(draw, len(u))
+        v = u.scale_by(lambda idx: factors)
+        assert v.indices is u.indices
+    elif relation == "copy":
+        v = on(draw, u.indices.copy())
+    elif relation == "shifted":
+        v = on(draw, u.indices + np.int64(draw(st.integers(-3, 3))))
+    elif relation == "disjoint" and len(u):
+        steps = np.arange(1, len(u) + 1, dtype=np.int64)
+        if u.indices[-1] < 0:
+            v = on(draw, u.indices[-1] + steps)
+        else:
+            v = on(draw, u.indices[0] - steps[::-1])
+    else:
+        v = on(draw, np.unique(np.array(draw(index_sets), np.int64)))
+    return draw(st.permutations([u, v]))
+
+
+def exact_inner(u, v):
+    """Exact sum over the shared indices, looked up through a dict."""
+    right = dict(zip(v.indices.tolist(), v.values.tolist()))
+    re = im = Fraction(0)
+    for i, a in zip(u.indices.tolist(), u.values.tolist()):
+        if i in right:
+            b = right[i]
+            re += Fraction(a.real) * Fraction(b.real) + Fraction(a.imag) * Fraction(b.imag)
+            im += Fraction(a.imag) * Fraction(b.real) - Fraction(a.real) * Fraction(b.imag)
+    return complex(float(re), float(im))
+
+
+@given(support_pairs())
+def test_inner_matches_dict_reference(pair):
+    u, v = pair
+    assert abs(inner(u, v) - exact_inner(u, v)) <= 1e-15 * u.norm() * v.norm()
+
+
+def pairwise(us, vs):
+    return np.array([[inner(u, v) for v in vs] for u in us], np.complex128).reshape(
+        len(us), len(vs)
+    )
+
+
+@st.composite
+def dense_families(draw):
+    """Families whose joint span is at most twice the largest support: one
+    contiguous row plus rows drawn inside (or just past) its window."""
+    lo = draw(st.sampled_from((0, -17, -LIMIT + 1, LIMIT - 64)))
+    m = draw(st.integers(1, 24))
+    rows = [on(draw, np.arange(lo, lo + m, dtype=np.int64), nonzero)]
+    for _ in range(draw(st.integers(0, 4))):
+        picks = draw(st.lists(st.integers(0, 2 * m - 1), max_size=2 * m))
+        rows.append(on(draw, lo + np.unique(np.array(picks, np.int64))))
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def sparse_families(draw):
+    """Families spread over far more indices than they store."""
+    far = draw(st.sampled_from((10 ** 15, LIMIT - 1)))
+    rows = [on(draw, np.array([i], np.int64), nonzero) for i in (-far, far)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.append(on(draw, np.unique(np.array(draw(index_sets), np.int64))))
+    return draw(st.permutations(rows))
+
+
+def within_rounding(g, us, vs, tol=1e-14):
+    bound = tol * np.outer([u.norm() for u in us], [v.norm() for v in vs])
+    return bool(np.all(np.abs(g - pairwise(us, vs)) <= bound))
+
+
+@given(dense_families(), st.integers(0, 5))
+def test_cross_gram_dense_path_matches_pairwise_inner(family, cut):
+    us, vs = family[:cut], family[cut:]
+    # the dense path is one BLAS product per block and never calls inner
+    with mock.patch.object(vectors, "inner", side_effect=AssertionError("sparse path taken")):
+        g = gram(family)
+        c = cross_gram(us, vs)
+    assert within_rounding(g, family, family)
+    assert within_rounding(c, us, vs)
+
+
+@given(sparse_families(), sparse_families())
+def test_cross_gram_sparse_path_is_pairwise_inner(us, vs):
+    assert np.array_equal(cross_gram(us, vs), pairwise(us, vs))
+    assert np.array_equal(gram(us), pairwise(us, us))
+
+
+def test_cross_gram_blocks_a_long_shift_orbit():
+    # a shift orbit spans several dense blocks; error stays at the
+    # gamma_n level of an n-term inner product
+    rng = np.random.default_rng(3)
+    m = 40_000
+    x = WindowVector(np.arange(m, dtype=np.int64), rng.normal(size=m) + 1j * rng.normal(size=m))
+    orbit = [x.translate(j) for j in range(17)]
+    g = gram(orbit)
+    n_terms = m + 17
+    gamma = n_terms * 2.0 ** -53 / (1 - n_terms * 2.0 ** -53)
+    assert within_rounding(g, orbit, orbit, tol=2 * gamma)
+    assert cross_gram([], orbit).shape == (0, 17)
+    assert cross_gram(orbit, [WindowVector.zero()]).tolist() == [[0j]] * 17
+
+
+def add_scaled_by_sort(u, v, alpha, beta):
+    """The argsort + unique + reduceat merge the kernel replaced."""
+    if len(u) == 0:
+        return v * beta
+    if len(v) == 0:
+        return u * alpha
+    idx = np.concatenate([u.indices, v.indices])
+    val = np.concatenate([u.values * alpha, v.values * beta])
+    order = np.argsort(idx, kind="stable")
+    idx, val = idx[order], val[order]
+    uniq, start = np.unique(idx, return_index=True)
+    summed = np.add.reduceat(val, start)
+    return WindowVector(uniq, summed)
+
+
+def assert_bit_identical(a, b):
+    assert np.array_equal(a.indices, b.indices)
+    assert a.values.tobytes() == b.values.tobytes()
+
+
+@given(support_pairs(), value, value)
+def test_add_scaled_bit_identical_to_sorting_merge(pair, alpha, beta):
+    u, v = pair
+    assert_bit_identical(add_scaled(u, v, alpha, beta), add_scaled_by_sort(u, v, alpha, beta))
+    assert_bit_identical(add_scaled(u, v, 1.0, -1.0), add_scaled_by_sort(u, v, 1.0, -1.0))
+
+
+def test_add_scaled_drops_exact_cancellation():
+    u = entries((-(2 ** 62) + 1, 1.0), (0, 0.5 + 2j), (7, 3.0), (2 ** 62 - 1, -1j))
+    v = entries((0, 0.5 + 2j), (5, 1.0), (2 ** 62 - 1, -1j))
+    out = add_scaled(u, v, 1.0, -1.0)
+    assert out.indices.tolist() == [-(2 ** 62) + 1, 5, 7]
+    assert_bit_identical(out, add_scaled_by_sort(u, v, 1.0, -1.0))
+    assert add_scaled(u, u, 1.0, -1.0).nnz == 0
