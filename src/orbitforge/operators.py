@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
+    NumericalError,
     ResolutionError,
     UnsupportedModelError,
 )
@@ -134,6 +135,37 @@ def weights_from_json(obj):
 # phase rules for diagonal unitaries
 
 
+def _first_hit(a, m, center, tau, start):
+    """Smallest k >= start with (a*k - center) mod m within tau of 0 on either
+    side, for 0 <= a < m and tau >= 0; None when no k hits.
+
+    With k = start + x the hits are the x with a*x mod m in [lo, lo + 2*tau];
+    an arc that runs past m holds residue 0, so x = 0.  Otherwise, when no
+    multiple of a lies in [lo, hi], a*x - m*y lies in it exactly when
+    (m % a)*y mod a lies in [(-hi) % a, (-lo) % a]: the same problem on the
+    pair (m % a, a), which shrinks as in Euclid's algorithm.  The smallest y
+    gives the smallest x = ceil((m*y + lo) / a).
+    """
+    lo = (center - tau - start * a) % m
+    hi = lo + 2 * tau
+    if hi >= m:
+        return start
+    frames = []
+    while lo > 0:
+        if a == 0:
+            return None
+        x = -(-lo // a)
+        if a * x <= hi:
+            break
+        frames.append((m, a, lo))
+        a, m, lo, hi = m % a, a, (-hi) % a, (-lo) % a
+    else:
+        x = 0
+    for m, a, lo in reversed(frames):
+        x = -(-(m * x + lo) // a)
+    return start + x
+
+
 class QuadraticIrrationalRotation:
     """Phases theta_k = 2*pi*frac(k*alpha) for alpha = (a + b*sqrt(d)) / c.
 
@@ -179,76 +211,38 @@ class QuadraticIrrationalRotation:
             [TWO_PI * (((int(k) * num) % den) / den) for k in indices], np.float64
         )
 
-    def alpha_float(self):
-        return (self.a + self.b * math.sqrt(self.d)) / self.c
-
     def find_index(self, target_turn, tol_turn, k_max=10 ** 12, exclude=()):
         """Smallest index k >= 1 with frac(k*alpha) within tol_turn of target.
 
         Turns, not radians: target_turn in [0, 1), tol_turn > 0.  Exclusions
-        let callers reserve indices already in use.  Coarse tolerances go
-        through a vectorized float scan; below 1e-6 of a turn the scan would
-        need ~1/tol steps of exact arithmetic, so a baby-step giant-step table
-        on the fixed-point residues finds the hit in ~sqrt(1/tol) work.  The
-        returned index is verified against the exact residue before handing
-        it out, whichever path produced it.
+        let callers reserve indices already in use; an excluded hit restarts
+        the search just past it.  One exact path on the fixed-point residues,
+        with no table and no float scan: :func:`_first_hit` takes O(log den)
+        integer steps.  The returned index is checked against its exact
+        residue before it is handed out.
         """
-        target_turn = float(target_turn) % 1.0
+        target_turn = float(target_turn)
         tol_turn = float(tol_turn)
-        if tol_turn <= 0:
-            raise DegenerateInputError("tolerance must be positive")
+        if not (math.isfinite(target_turn) and math.isfinite(tol_turn) and tol_turn > 0):
+            raise DegenerateInputError("target and tolerance must be finite, tolerance positive")
         exclude = frozenset(int(k) for k in exclude)
-        den = self._den
-        num = self._num
-        tau = int(tol_turn * den)
+        den, num = self._den, self._num
+        # from half a turn on every residue hits; the cap keeps tol*den finite
+        tau = int(min(tol_turn, 1.0) * den)
         if tau < 1:
             raise DegenerateInputError("tolerance below the fixed-point resolution")
-        t_res = int(target_turn * den)
-
-        def _verify(k):
-            e = (k * num - t_res) % den
-            return min(e, den - e) <= tau
-
-        if tol_turn >= 1e-6:
-            alpha = self.alpha_float()
-            chunk = 1 << 17
-            lo = 1
-            while lo <= k_max:
-                hi = min(lo + chunk, k_max + 1)
-                ks = np.arange(lo, hi, dtype=np.int64)
-                d = np.abs(np.mod(ks * alpha - target_turn + 0.5, 1.0) - 0.5)
-                hits = ks[d <= tol_turn * 0.999]
-                for k in hits:
-                    k = int(k)
-                    if k not in exclude and _verify(k):
-                        return k
-                lo = hi
+        t_res = int(target_turn % 1.0 * den)
+        k = _first_hit(num, den, t_res, tau, 1)
+        while k is not None and k in exclude:
+            k = _first_hit(num, den, t_res, tau, k + 1)
+        if k is None or k > k_max:
             raise ResolutionError(
-                f"no index within {tol_turn:g} turns of the target below {k_max}"
+                f"no index within {tol_turn:g} turns of the target up to {k_max}"
             )
-
-        baby = max(2, math.isqrt(int(1.0 / tol_turn)) + 1)
-        giants = min(k_max // baby + 1, int(4.0 / (tol_turn * baby)) + 2)
-        bucket = max(tau, 1)
-        table: dict = {}
-        for j in range(baby):
-            res = (j * num) % den
-            table.setdefault(res // bucket, []).append(j)
-        step = (baby * num) % den
-        for i in range(giants):
-            # solve j*num ≡ t_res - i*step (mod den) within tau
-            want = (t_res - i * step) % den
-            base_bucket = want // bucket
-            for bb in (base_bucket - 1, base_bucket, base_bucket + 1):
-                for j in table.get(bb % ((den // bucket) + 1), ()):
-                    k = i * baby + j
-                    if k < 1 or k > k_max or k in exclude:
-                        continue
-                    if _verify(k):
-                        return k
-        raise ResolutionError(
-            f"no index within {tol_turn:g} turns of the target below {baby * giants}"
-        )
+        e = (k * num - t_res) % den
+        if min(e, den - e) > tau:
+            raise NumericalError(f"index {k} misses the target by {min(e, den - e)}/{den} turns")
+        return k
 
     def to_json(self):
         return {

@@ -96,6 +96,9 @@ class WindowVector:
         if not _checked:
             if indices.ndim != 1 or values.ndim != 1 or len(indices) != len(values):
                 raise DegenerateInputError("indices and values must be 1-d and equal length")
+            # before the order check: the int64 difference wraps past 2**62
+            if len(indices) and (indices.min() <= -_INDEX_LIMIT or indices.max() >= _INDEX_LIMIT):
+                raise DimensionMismatchError("indices must lie strictly within +-2**62")
             if len(indices) > 1 and not np.all(np.diff(indices) > 0):
                 raise DegenerateInputError("indices must be strictly increasing")
             keep = values != 0

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitforge.errors import (
     DegenerateInputError,
     DimensionMismatchError,
+    ResolutionError,
     UnsupportedModelError,
 )
 from orbitforge.operators import (
@@ -22,6 +23,7 @@ from orbitforge.operators import (
     QuadraticIrrationalRotation,
     Subspace,
     UnilateralShift,
+    _first_hit,
     apply_power,
     as_power,
     compress,
@@ -353,3 +355,86 @@ def test_find_index_validates_tolerance():
     rule = QuadraticIrrationalRotation()
     with pytest.raises(DegenerateInputError):
         rule.find_index(0.5, 0.0)
+
+
+# -- the exact phase search against brute force
+
+
+def brute_first_hit(a, m, center, tau, start):
+    # residues repeat with period m, so one period past start decides
+    for k in range(start, start + m):
+        e = (a * k - center) % m
+        if min(e, m - e) <= tau:
+            return k
+    return None
+
+
+@st.composite
+def arcs(draw):
+    m = draw(st.integers(1, 300))
+    a = draw(st.integers(0, m - 1))
+    center = draw(st.integers(0, m - 1))
+    # tau = 0, narrow arcs, any arc, and arcs of at least m - 1 residues
+    tau = draw(st.just(0) | st.integers(0, 5) | st.integers(0, m) | st.integers(m // 2, m))
+    start = draw(st.integers(0, 2 * m))
+    return a, m, center, tau, start
+
+
+@settings(max_examples=400, deadline=None)
+@given(arcs())
+@example((5, 13, 1, 2, 0))  # arc wraps past residue 0
+@example((5, 13, 12, 1, 3))  # wraps from the top
+@example((7, 20, 9, 0, 1))  # tau = 0
+@example((7, 20, 9, 10, 4))  # 2*tau >= m - 1: every residue hits
+@example((4, 12, 6, 1, 0))  # gcd 4: no multiple of 4 within 1 of 6
+@example((233, 377, 100, 0, 0))  # consecutive Fibonacci numbers: deepest descent
+def test_first_hit_matches_brute_force(arc):
+    assert _first_hit(*arc) == brute_first_hit(*arc)
+
+
+def residue_hits(rule, target, tol, count):
+    """The first `count` indices k >= 1 within tol of target, tested k by k."""
+    _, den = rule.frac_exact(0)
+    t_res, tau = int(target * den), int(tol * den)
+    hits, k = [], 0
+    while len(hits) < count:
+        k += 1
+        e = (rule.frac_exact(k)[0] - t_res) % den
+        if min(e, den - e) <= tau:
+            hits.append(k)
+    return hits
+
+
+rules = st.sampled_from([(-1, 1, 1, 2), (1, 1, 2, 5), (2, -3, 7, 11)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(rules, st.floats(0.0, 1.0, exclude_max=True), st.floats(1e-3, 1e-2))
+def test_find_index_returns_the_smallest_hit(abcd, target, tol):
+    rule = QuadraticIrrationalRotation(*abcd)
+    first, second, third = residue_hits(rule, target, tol, 3)
+    assert rule.find_index(target, tol) == first
+    assert rule.find_index(target, tol, k_max=first) == first
+    assert rule.find_index(target, tol, exclude={first}) == second
+    assert rule.find_index(target, tol, exclude=range(1, second + 1)) == third
+    with pytest.raises(ResolutionError):
+        rule.find_index(target, tol, k_max=first - 1)
+    with pytest.raises(ResolutionError):
+        rule.find_index(target, tol, k_max=second, exclude={first, second})
+
+
+def test_find_index_wide_tolerance_takes_the_first_free_index():
+    rule = QuadraticIrrationalRotation()
+    assert rule.find_index(0.3, 0.5) == 1
+    assert rule.find_index(0.8, 0.5) == 1
+    assert rule.find_index(0.3, 0.5, exclude={1, 2, 4}) == 3
+    assert rule.find_index(0.3, 1e300, exclude={1}) == 2
+
+
+@pytest.mark.parametrize(
+    "target, tol",
+    [(math.nan, 1e-3), (math.inf, 1e-3), (0.2, math.nan), (0.2, math.inf), (0.2, -1e-3)],
+)
+def test_find_index_rejects_non_finite_input(target, tol):
+    with pytest.raises(DegenerateInputError):
+        QuadraticIrrationalRotation().find_index(target, tol)
