@@ -457,6 +457,8 @@ class DenseOperator:
         m = np.array(matrix, np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise DegenerateInputError("need a nonempty square matrix")
+        if not np.all(np.isfinite(m)):
+            raise DegenerateInputError("matrix entries must be finite")
         m.setflags(write=False)
         self.matrix = m
         self.dim = m.shape[0]

@@ -39,6 +39,13 @@ DEFAULT_WINDOW_BUDGET = 50_000_000
 _INDEX_LIMIT = np.int64(2) ** 62
 
 
+def _as_indices(indices):
+    try:
+        return np.asarray(indices, dtype=np.int64)
+    except OverflowError:
+        raise DimensionMismatchError("indices must lie strictly within +-2**62") from None
+
+
 def window_budget(override=None):
     """Resolve the stored-entry budget: explicit override, else env var, else default."""
     if override is not None:
@@ -91,7 +98,7 @@ class WindowVector:
     __array_ufunc__ = None
 
     def __init__(self, indices, values, _checked=False):
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = _as_indices(indices)
         values = np.asarray(values, dtype=np.complex128)
         if not _checked:
             if indices.ndim != 1 or values.ndim != 1 or len(indices) != len(values):
@@ -124,7 +131,7 @@ class WindowVector:
         items = list(pairs)
         if not items:
             return cls.zero()
-        idx = np.array([p[0] for p in items], np.int64)
+        idx = _as_indices([p[0] for p in items])
         val = np.array([p[1] for p in items], np.complex128)
         order = np.argsort(idx, kind="stable")
         idx, val = idx[order], val[order]

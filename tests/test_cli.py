@@ -65,6 +65,16 @@ def test_nrange_jordan_block(capsys, tmp_path):
     assert len(lines) == 17
 
 
+def test_nrange_refuses_non_finite_and_empty_matrices(capsys, tmp_path):
+    for name, text in (("nan.json", "[[NaN, 1], [0, 0]]"), ("empty.json", "[[]]")):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["nrange", "--matrix", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "refused" in captured.err
+
+
 def test_tower_grid_variant(capsys):
     assert main(["tower", "--model", "grid:256", "--n", "16"]) == 0
     assert "pass" in capsys.readouterr().out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitforge import nrange
 from orbitforge.errors import (
     DegenerateInputError,
     DomainError,
@@ -121,6 +122,201 @@ def test_numerical_radius_accepts_dense_operator_wrapper():
     w1, _ = numerical_radius(a, 120)
     w2, _ = numerical_radius(DenseOperator(a), 120)
     assert abs(w1 - w2) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# coarse-to-fine radius sweep against the per-angle loop
+
+
+_U = 2.0 ** -53
+_GRIDS = (3, 5, 13, 97, 120, 180, 240, 720, 1000)
+
+
+def _looped_support(a, t):
+    h = (np.exp(-1j * t) * a + np.exp(1j * t) * a.conj().T) / 2.0
+    return float(np.linalg.eigvalsh(h)[-1])
+
+
+def _looped_radius(a, n_angles=720):
+    """The full per-angle sweep with golden polish of the three top peaks."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def golden(lo, hi):
+        x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+        f1, f2 = _looped_support(a, x1), _looped_support(a, x2)
+        for _ in range(80):
+            if f1 < f2:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + g * (hi - lo)
+                f2 = _looped_support(a, x2)
+            else:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - g * (hi - lo)
+                f1 = _looped_support(a, x1)
+        return (lo + hi) / 2.0
+
+    thetas = 2.0 * math.pi * np.arange(n_angles) / n_angles
+    values = np.array([_looped_support(a, t) for t in thetas])
+    step = 2.0 * math.pi / n_angles
+    best = -np.inf
+    for idx in np.argsort(values)[-3:]:
+        best = max(best, _looped_support(a, golden(thetas[idx] - step, thetas[idx] + step)))
+    return best
+
+
+def _jordan(n):
+    return np.diag(np.ones(n - 1), 1).astype(complex)
+
+
+def _structured():
+    return [
+        _jordan(5),
+        _jordan(2),
+        np.diag([1.0, -2.0, 0.5]).astype(complex),
+        np.diag([1.0, 1j, -1.0, -1j]),
+        np.diag([1.0, 1j, -0.3 - 0.4j]),
+        np.outer([1.0, 2j, 3.0], [1.0, -1.0, 2j]),
+        np.zeros((3, 3), complex),
+    ]
+
+
+def _margin(n, frob, gap, vertex):
+    eps = 16.0 * n * _U * frob
+    return (1.0 + 2.0 / math.sin(gap)) * eps + 4.0 * _U * abs(vertex)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 33),
+    n_angles=st.sampled_from(_GRIDS),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_pruned_sweep_matches_looped_sweep_bitwise(n, n_angles, seed):
+    a = _random_matrix(n, seed)
+    w, _ = numerical_radius(a, n_angles)
+    assert w == _looped_radius(a, n_angles)
+
+
+def test_pruned_sweep_matches_looped_sweep_on_structured_matrices():
+    for a in _structured():
+        for n_angles in _GRIDS:
+            w, _ = numerical_radius(a, n_angles)
+            assert w == _looped_radius(a, n_angles), (a, n_angles)
+    # a 1x1 stack of one angle may round the product differently by an ulp
+    a = np.array([[0.3 - 1.2j]])
+    w, _ = numerical_radius(a)
+    assert abs(w - _looped_radius(a)) <= 4.0 * _U * abs(a[0, 0])
+
+
+def _stacked_support(a, thetas):
+    t = np.asarray(thetas, float)[..., None, None]
+    return np.linalg.eigvalsh((np.exp(-1j * t) * a + np.exp(1j * t) * a.conj().T) / 2.0)[..., -1]
+
+
+def test_wedge_bound_dominates_the_support_function_on_every_arc():
+    mats = [_random_matrix(n, 200 + n) for n in (2, 6, 16)] + _structured()
+    for a in mats:
+        eps = 16.0 * len(a) * _U * float(np.linalg.norm(a))
+        for n_angles, stride in ((720, 8), (180, 8), (13, 1)):
+            step = 2.0 * math.pi / n_angles
+            k0 = np.arange(0, n_angles, stride)
+            k1 = np.minimum(k0 + stride, n_angles)
+            gap = (k1 - k0) * step
+            bound = nrange._wedge_bounds(
+                _stacked_support(a, k0 * step), _stacked_support(a, k1 * step), gap, eps
+            )
+            inside = k0[:, None] * step + gap[:, None] * np.arange(1, 51) / 51.0
+            assert np.all(_stacked_support(a, inside).max(axis=1) <= bound)
+
+
+def _count_solves(monkeypatch):
+    counts = {"matrices": 0}
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(h):
+        counts["matrices"] += int(np.prod(np.shape(h)[:-2]))
+        return eigvalsh(h)
+
+    class Linalg:
+        def __getattr__(self, name):
+            return getattr(np.linalg, name)
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    fake = Numpy()
+    fake.linalg = Linalg()
+    fake.linalg.eigvalsh = counted
+    monkeypatch.setattr(nrange, "np", fake)
+    return counts
+
+
+def test_pruned_sweep_solves_few_angles_on_a_random_matrix(monkeypatch):
+    a = _random_matrix(16, 11)
+    counts = _count_solves(monkeypatch)
+    numerical_radius(a, 720)
+    assert 0 < counts["matrices"] < 400
+
+
+def test_disk_like_range_still_solves_every_grid_angle(monkeypatch):
+    solved = []
+    support_values = nrange._support_values
+
+    def spy(a, thetas):
+        solved.extend(np.asarray(thetas, float).tolist())
+        return support_values(a, thetas)
+
+    monkeypatch.setattr(nrange, "_support_values", spy)
+    numerical_radius(_jordan(5), 720)
+    grid = 2.0 * math.pi * np.arange(720) / 720
+    assert set(grid.tolist()) <= set(solved)
+
+
+def test_radius_upper_encloses_the_radius():
+    for a in [_random_matrix(n, 300 + n) for n in (2, 5, 8, 17)] + _structured():
+        out = radius_norm_bounds(a)
+        assert out["radius"] <= out["radius_upper"]
+    # h = 1/2 everywhere, so every step vertex is 1/(2 cos(pi/720)); the
+    # enclosure adds one margin and the computed h move the vertex by another
+    out = radius_norm_bounds(_jordan(2))
+    gap = 2.0 * math.pi / 720
+    vertex = 0.5 / math.cos(gap / 2.0)
+    assert out["radius_upper"] - 0.5 <= vertex - 0.5 + 2.0 * _margin(2, 1.0, gap, vertex)
+
+
+def test_radius_upper_dominates_a_dense_angle_sample():
+    thetas = np.linspace(0.0, 2.0 * math.pi, 20_000, endpoint=False)[:, None, None]
+    for seed in range(5):
+        a = _random_matrix(6, 400 + seed)
+        h = (np.exp(-1j * thetas) * a + np.exp(1j * thetas) * a.conj().T) / 2.0
+        sample = float(np.max(np.linalg.eigvalsh(h)[:, -1]))
+        assert radius_norm_bounds(a)["radius_upper"] >= sample
+
+
+def test_boundary_matches_the_looped_eigh():
+    a = _random_matrix(7, 5)
+    b = nr_boundary(a, 100)
+    for t, s, p in zip(b.thetas, b.support, b.points):
+        vals, vecs = np.linalg.eigh((np.exp(-1j * t) * a + np.exp(1j * t) * a.conj().T) / 2.0)
+        x = vecs[:, -1]
+        assert s == vals[-1]
+        assert abs(p - np.vdot(x, a @ x)) <= 1e-12 * np.linalg.norm(a)
+
+
+def test_radius_refuses_bad_input():
+    for n_angles in (0, -5, 2):
+        with pytest.raises(DegenerateInputError):
+            numerical_radius(np.eye(2, dtype=complex), n_angles)
+    for bad in (np.zeros((0, 0)), np.array([[np.nan, 1.0], [0.0, 0.0]]), np.array([[np.inf]])):
+        with pytest.raises(DegenerateInputError):
+            numerical_radius(bad)
+        with pytest.raises(DegenerateInputError):
+            radius_norm_bounds(bad)
+        with pytest.raises(DegenerateInputError):
+            nr_boundary(bad)
+    with pytest.raises(DegenerateInputError):
+        DenseOperator([[1.0, np.nan], [0.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,16 @@ def test_constructors_reject_indices_beyond_the_limit():
     assert edge.indices.tolist() == [-(2 ** 62) + 1, 2 ** 62 - 1]
 
 
+def test_constructors_reject_indices_beyond_int64():
+    for index in (2 ** 63, -(2 ** 63) - 1, 2 ** 64):
+        with pytest.raises(DimensionMismatchError):
+            WindowVector([index], [1.0])
+        with pytest.raises(DimensionMismatchError):
+            WindowVector.from_pairs([(index, 1.0)])
+        with pytest.raises(DimensionMismatchError):
+            WindowVector.from_entries([[index, 1.0, 0.0]])
+
+
 def test_to_dense_window_check():
     v = entries((2, 1.0), (3, -1.0))
     np.testing.assert_array_equal(v.to_dense(4), [0, 0, 1, -1])
