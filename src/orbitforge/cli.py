@@ -17,10 +17,12 @@ import sys
 import numpy as np
 
 from .config import load_config
-from .errors import ConfigError, NumericalError, REFUSAL_ERRORS
+from .errors import ConfigError, DegenerateInputError, NumericalError, REFUSAL_ERRORS
 from .flatten import flat_report_csv, flat_subspace, flat_vector
 from .harness import (
     CHECK_IDS,
+    MASS_BOUND,
+    MOMENT_BOUNDS,
     STATEMENTS,
     build_model,
     check_from_json,
@@ -119,25 +121,38 @@ def _cmd_nrange(args):
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
+def _number(kind, text):
+    """kind(text); a literal that kind cannot read is refused."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DegenerateInputError(f"cannot read {text!r}: {exc}") from None
+
+
 def _cmd_moments(args):
     mode = "exact" if args.exact else "float"
     entries = [e.strip() for e in args.eps.split(",") if e.strip()]
     if mode == "exact":
         from fractions import Fraction
 
-        eps = [Fraction(e) for e in entries]
-        rho = Fraction(args.rho)
+        eps = [_number(Fraction, e) for e in entries]
+        rho = _number(Fraction, args.rho)
     else:
-        eps = [complex(e) for e in entries]
-        rho = float(args.rho)
+        eps = [_number(complex, e) for e in entries]
+        rho = _number(float, args.rho)
     res = circle_moment_match(eps, rho=rho, mode=mode)
     blob = res.to_json()
+    ok = (
+        blob["residual_max"] <= MOMENT_BOUNDS[mode]
+        and abs(res.mass_defect) <= MASS_BOUND
+    )
     print(
         f"{len(res.measure.weights)} atoms  residual {blob['residual_max']:.3e}  "
-        f"mass defect {abs(res.mass_defect):.3e}  mode {mode}"
+        f"mass defect {abs(res.mass_defect):.3e}  mode {mode}  "
+        f"{'pass' if ok else 'FAIL'}"
     )
     _emit_json(blob, args.out)
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_NUMERICAL
 
 
 def _cmd_orbit(args):

@@ -42,8 +42,11 @@ class QI:
             if im != 0:
                 raise DegenerateInputError("complex input already carries both parts")
             re, im = re.real, re.imag
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        try:
+            self.re = Fraction(re)
+            self.im = Fraction(im)
+        except (ValueError, OverflowError) as exc:  # NaN, infinity, bad literal
+            raise DegenerateInputError(f"not a finite rational: {exc}") from None
 
     def __add__(self, other):
         other = _as_qi(other)

@@ -303,8 +303,8 @@ def flat_vector(op, eps, targets=(), avoid=(), window_budget=None, rng=None):
     authoritative either way and fails loudly rather than extrapolating.
     """
     eps = float(eps)
-    if eps <= 0:
-        raise DegenerateInputError("eps must be positive")
+    if not 0 < eps < math.inf:  # NaN fails both comparisons
+        raise DegenerateInputError("eps must be positive and finite")
     K = _flat_power_bound(op)
     targets = list(targets)
     for a in targets:
@@ -442,8 +442,8 @@ def flat_subspace(op, eps, d, window_budget=None, rng=None):
     pair each) and rechecks sampled powers honestly from the raw vectors.
     """
     eps = float(eps)
-    if eps <= 0:
-        raise DegenerateInputError("eps must be positive")
+    if not 0 < eps < math.inf:  # NaN fails both comparisons
+        raise DegenerateInputError("eps must be positive and finite")
     d = int(d)
     if d < 1:
         raise DegenerateInputError("need at least one subspace dimension")

@@ -40,7 +40,7 @@ from .operators import (
     power_forms,
 )
 from .spectra import orbit_to_approx_eigenvector
-from .vectors import WindowVector, cross_gram, gram
+from .vectors import combine, cross_gram, gram
 from .witness import almost_orthogonal_orbit, rokhlin_tower, zero_tuple_vector
 
 __all__ = [
@@ -103,6 +103,9 @@ STATEMENTS = {
 }
 
 UNIT_TOL = 1e-12
+# moment_exact: moment error by mode, and mass error (also `orbitforge moments`)
+MOMENT_BOUNDS = {"exact": 1e-12, "float": 1e-9}
+MASS_BOUND = 1e-12
 
 
 # -- model specs ------------------------------------------------------------------
@@ -297,9 +300,7 @@ def _check_rokhlin_tower(params, seed):
     budget = params.get("window_budget")
     tower = rokhlin_tower(op, n, eps, window_budget=budget)
     gram_defect = float(np.max(np.abs(gram(tower.w) - np.eye(n))))
-    total = WindowVector.zero()
-    for w in tower.w:
-        total = total + w
+    total = combine((1, w) for w in tower.w)
     mean_defect = (total * (1.0 / math.sqrt(n)) - tower.u).norm()
     links = max(
         (op.apply(tower.w[j]) - tower.w[(j + 1) % n]).norm() for j in range(n)
@@ -447,10 +448,9 @@ def _check_moment_exact(params, seed):
     targets_c = np.array([complex(t) for t in eps])
     moment_err = float(np.max(np.abs(moments - targets_c)))
     mass_err = abs(res.measure.mass() - 1.0)
-    bound = 1e-12 if mode == "exact" else 1e-9
     lines = [
-        _line("moment_error", moment_err, bound),
-        _line("mass", mass_err, 1e-12),
+        _line("moment_error", moment_err, MOMENT_BOUNDS[mode]),
+        _line("mass", mass_err, MASS_BOUND),
     ]
     if mode == "exact":
         cert = res.exact_certificate or {}

@@ -43,6 +43,8 @@ def _as_fraction(x):
     if isinstance(x, (Fraction, int)):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise DegenerateInputError(f"{x!r} is not a finite rational")
         return Fraction(x)  # floats are exact dyadic rationals
     raise DegenerateInputError(f"cannot interpret {x!r} as an exact rational")
 
@@ -161,6 +163,8 @@ def _match_float(eps, rho):
     n = len(eps)
     r = admissible_radius(rho, n)
     for k, e in enumerate(eps, start=1):
+        if not cmath.isfinite(e):
+            raise DegenerateInputError(f"target moment {k} = {e} is not finite")
         if abs(e) > r * (1 + 1e-12) + 1e-15:
             raise DomainError(
                 f"|target moment {k}| = {abs(e):.6g} exceeds the admissible radius {r:.6g}",

@@ -59,7 +59,7 @@ from .operators import (
     power_forms,
 )
 from .spectra import circle_in_pi_essential, shift_eigen_window
-from .vectors import BudgetMeter, WindowVector, gram, inner, normalize
+from .vectors import BudgetMeter, WindowVector, combine, gram, inner, normalize
 
 TWO_PI = 2.0 * math.pi
 
@@ -393,12 +393,12 @@ def _realize_on_shift(base, measure, powers, delta, constraints, meter):
             start = max(start, int(c.indices[-1]) + 1)
     start += p_max + 1
     meter.charge(len(measure.weights) * m)
-    x = WindowVector.zero()
+    terms = []
     for z, w in zip(measure.positions, measure.weights):
-        window = shift_eigen_window(base, z, m, start=start)
-        x = x + math.sqrt(w) * window
+        terms.append((math.sqrt(w), shift_eigen_window(base, z, m, start=start)))
         start += m + p_max + 1
-    return normalize(x), {"window_length": m, "atom_count": len(measure.weights)}
+    x = normalize(combine(terms))
+    return x, {"window_length": m, "atom_count": len(measure.weights)}
 
 
 def _realize_on_diagonal(base, measure, powers, delta, constraints, meter):
@@ -439,9 +439,12 @@ def we_membership_witness(
     mu = np.asarray(list(mu), np.complex128)
     if len(mu) == 0:
         raise DegenerateInputError("need at least one target")
+    if not np.all(np.isfinite(mu)):
+        raise DegenerateInputError("targets must be finite")
     delta = float(delta)
-    if delta <= 0:
-        raise DegenerateInputError("delta must be positive")
+    # NaN fails both comparisons; an infinite delta would pass vacuously
+    if not 0 < delta < math.inf:
+        raise DegenerateInputError("delta must be positive and finite")
     base, powers = _resolve_power_tuple(ops, len(mu))
     rho = _witness_circle_radius(base)
     ok, route_spec = circle_in_pi_essential(base, rho)
@@ -539,7 +542,14 @@ def diagonal_compression_subspace(op, lam, n, dim=2, delta=1e-3, window_budget=N
     if dim < 1 or n < 1:
         raise DegenerateInputError("need dim >= 1 and n >= 1")
     lam = complex(lam)
-    mu = [lam ** p for p in range(1, n + 1)]
+    if not np.isfinite(lam):
+        raise DegenerateInputError("lam must be finite")
+    try:
+        mu = [lam ** p for p in range(1, n + 1)]
+    except OverflowError:
+        raise DegenerateInputError(
+            f"lam^p overflows float64 for some p <= {n} (|lam| = {abs(lam):.6g})"
+        ) from None
     vectors = []
     for _ in range(dim):
         res = we_membership_witness(

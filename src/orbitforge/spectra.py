@@ -46,7 +46,7 @@ from .operators import (
     QuadraticIrrationalRotation,
     UnilateralShift,
 )
-from .vectors import BudgetMeter, WindowVector
+from .vectors import BudgetMeter, WindowVector, combine
 
 REGION_KINDS = ("empty", "points", "circle", "annulus", "disk")
 
@@ -275,6 +275,11 @@ def circle_in_pi_essential(op, radius=1.0, tol=1e-9):
 # approximate eigenvectors for catalogued models
 
 
+def _off_circle(lam, radius, tol):
+    """True unless | |lam| - radius | <= tol; NaN lies off every circle."""
+    return not abs(abs(lam) - radius) <= tol
+
+
 def shift_eigen_window(op, lam, m, start=0):
     """Unit window vector x with ||op x - lam x|| = |lam| sqrt(2/m).
 
@@ -290,7 +295,7 @@ def shift_eigen_window(op, lam, m, start=0):
             raise UnsupportedModelError("eigen windows need a constant weight")
         w = op.weights.value
     lam = complex(lam)
-    if abs(abs(lam) - abs(w)) > 1e-12:
+    if _off_circle(lam, abs(w), 1e-12):
         raise DegenerateInputError(
             f"|lam| = {abs(lam):.6g} is off the catalogued circle of radius {abs(w):.6g}"
         )
@@ -519,7 +524,7 @@ def approx_eigenvector(op, lam, m, start=0):
         raise DegenerateInputError("window length must be at least 2")
     if isinstance(op, (BilateralShift, UnilateralShift)):
         rho = _shift_circle_radius(op)
-        if abs(abs(lam) - rho) > 1e-9:
+        if _off_circle(lam, rho, 1e-9):
             raise DomainError(
                 f"|lam| = {abs(lam):.6g} is not on the spectral circle "
                 f"of radius {rho:g}"
@@ -532,7 +537,7 @@ def approx_eigenvector(op, lam, m, start=0):
             support_window=(start, start + m - 1),
         )
     if isinstance(op, DiagonalUnitary):
-        if abs(abs(lam) - 1.0) > 1e-9:
+        if _off_circle(lam, 1.0, 1e-9):
             raise DomainError("diagonal unitary spectrum lives on the unit circle")
         if op.index_set == "N" and start < 0:
             raise DegenerateInputError("half-line index window cannot start below 0")
@@ -547,7 +552,7 @@ def approx_eigenvector(op, lam, m, start=0):
             support_window=(k, k),
         )
     if isinstance(op, MultiplicationGrid):
-        if abs(abs(lam) - 1.0) > 1e-9:
+        if _off_circle(lam, 1.0, 1e-9):
             raise DomainError("grid multiplication spectrum lives on the unit circle")
         turn = (cmath.phase(lam) / (2.0 * math.pi)) % 1.0
         k = int(round(turn * op.dim)) % op.dim
@@ -623,7 +628,7 @@ def approx_eigenvector_family(
         tol_turn = math.sqrt(2.0 / m) / (2.0 * math.pi)
         out = []
         for lam in lambdas:
-            if abs(abs(lam) - 1.0) > 1e-9:
+            if _off_circle(lam, 1.0, 1e-9):
                 raise DomainError("diagonal unitary spectrum lives on the unit circle")
             turn = (cmath.phase(lam) / (2.0 * math.pi)) % 1.0
             k = op.phase_rule.find_index(turn, tol_turn, exclude=used)
@@ -655,16 +660,15 @@ def orbit_to_approx_eigenvector(op, x, lam, n):
     n = int(n)
     if n < 1:
         raise DegenerateInputError("need at least one orbit term")
-    if abs(abs(lam) - 1.0) > 1e-9:
+    if _off_circle(lam, 1.0, 1e-9):
         raise DomainError("orbit folding needs a unimodular eigenvalue")
     norm_x = x.norm()
     if abs(norm_x - 1.0) > 1e-9:
         raise DegenerateInputError("orbit start vector must be unit")
-    y = x
-    cur = x
-    for j in range(1, n):
-        cur = op.apply(cur)
-        y = y + lam ** (-j) * cur
+    orbit = [x]
+    for _ in range(1, n):
+        orbit.append(op.apply(orbit[-1]))
+    y = combine((lam ** (-j), v) for j, v in enumerate(orbit))
     raw_norm = y.norm()
     if raw_norm == 0.0:
         raise NumericalError("orbit sum collapsed to zero")

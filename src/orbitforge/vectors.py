@@ -17,7 +17,11 @@ both look one support up in the other with ``searchsorted``.  Every Gram and
 compression matrix goes through :func:`cross_gram`: a family whose joint
 index span is at most twice its largest support is scattered into dense
 column blocks, one BLAS product each; a sparser family falls back to
-pairwise ``inner``.
+pairwise ``inner``.  Every sum of more than two vectors goes through
+:func:`combine`: when the joint index span is at most twice the summed
+support, all terms are added in order into one dense accumulator that
+starts at -0.0 (so a lone term keeps its bits); a sparser sum is a left
+fold of ``add_scaled``.
 """
 
 from __future__ import annotations
@@ -192,6 +196,8 @@ class WindowVector:
     def __mul__(self, scalar):
         if len(self.values) == 0 or scalar == 1:
             return self
+        if scalar == 0:  # keep exact zeros out of storage
+            return WindowVector.zero()
         return WindowVector(self.indices, self.values * scalar, _checked=True)
 
     __rmul__ = __mul__
@@ -283,6 +289,39 @@ def add_scaled(u, v, alpha, beta):
     idx[old], val[old] = u.indices, a
     idx[slots], val[slots] = v.indices[fresh], b[fresh]
     return WindowVector(idx, val)
+
+
+def combine(terms):
+    """sum_k c_k v_k over an iterable of (c_k, v_k) pairs, in order.
+
+    When the joint index span is at most twice the summed support, every
+    term is added into one dense accumulator (a slice for a contiguous
+    support, else a fancy index) that starts at -0.0, so an entry written by
+    a lone term keeps its bits; the nonzero entries are kept.  Sparser sums
+    are a left fold of :func:`add_scaled`.  Either way each entry is the same
+    left-to-right sum as the fold's.
+    """
+    terms = [(c, v) for c, v in terms if len(v)]
+    if not terms:
+        return WindowVector.zero()
+    # Python ints: indices reach +-2^62, so the span may not fit in int64
+    lo = min(int(v.indices[0]) for _, v in terms)
+    span = max(int(v.indices[-1]) for _, v in terms) - lo + 1
+    if span > 2 * sum(len(v) for _, v in terms):
+        out = WindowVector.zero()
+        for c, v in terms:
+            out = add_scaled(out, v, 1.0, c)
+        return out
+    acc = np.full(span, complex(-0.0, -0.0))
+    for c, v in terms:
+        start = int(v.indices[0]) - lo
+        if int(v.indices[-1]) - lo - start + 1 == len(v):
+            where = slice(start, start + len(v))
+        else:
+            where = v.indices - np.int64(lo)
+        acc[where] += v.values if c == 1 else v.values * c
+    keep = np.flatnonzero(acc)
+    return WindowVector(keep + np.int64(lo), acc[keep], _checked=True)
 
 
 def _shared(a, b):

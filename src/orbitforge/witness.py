@@ -41,7 +41,15 @@ from .moments import admissible_radius
 from .nrange import _resolve_power_tuple, _witness_circle_radius, we_membership_witness
 from .operators import DiagonalUnitary, MultiplicationGrid, power_forms
 from .spectra import approx_eigenvector_family, circle_in_pi_essential
-from .vectors import BudgetMeter, WindowVector, add_scaled, gram, inner, normalize
+from .vectors import (
+    BudgetMeter,
+    WindowVector,
+    add_scaled,
+    combine,
+    gram,
+    inner,
+    normalize,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -457,10 +465,7 @@ def almost_orthogonal_orbit(base, n, eps, window_budget=None):
     lambdas = _unit_roots(n)
     family = approx_eigenvector_family(base, lambdas, m, margin=n + 1, meter=meter)
     scale = 1.0 / math.sqrt(n)
-    v = WindowVector.zero()
-    for pair in family:
-        v = add_scaled(v, pair.vector, 1.0, scale)
-    x = normalize(v)
+    x = normalize(combine((scale, pair.vector) for pair in family))
 
     c_min = 0
     while 32.0 * 2.0 ** (-c_min / 2.0) * nb ** n >= eps:
@@ -733,9 +738,7 @@ def rotation_tower(grid, n, w0=None, window_budget=None):
     links = np.empty(n)
     for j in range(n):
         links[j] = (grid.apply(w[j]) - w[(j + 1) % n]).norm()
-    total = WindowVector.zero()
-    for v in w:
-        total = total + v
+    total = combine((1, v) for v in w)
     sum_defect = float(np.max(np.abs(total.values))) if len(total.values) else 0.0
     norm_dev = max(abs(v.norm() - 1.0) for v in w)
 

@@ -1,9 +1,11 @@
 """Command line: exit-code contract, config strictness, replay fidelity."""
 
+import dataclasses
 import json
 
 import pytest
 
+from orbitforge import cli
 from orbitforge.cli import main
 from orbitforge.config import ExperimentConfig, load_config, parse_config
 from orbitforge.errors import ConfigError
@@ -237,3 +239,59 @@ def test_config_command_mismatch(tmp_path, capsys):
 
 def test_config_missing_file(tmp_path, capsys):
     assert main(["verify", "--config", str(tmp_path / "ghost.ini")]) == 65
+
+
+# -- non-finite input is refused (exit 2), not carried into a NaN report
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--lam", "nan"], ["--lam", "inf"], ["--lam", "1e200"], ["--delta", "inf"]],
+)
+def test_compress_refuses_non_finite_input(flags, capsys):
+    assert main(["compress", *flags]) == 2
+    assert "refused" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--eps", "nan,0"],
+        ["--eps", "0,inf"],
+        ["--eps", "0,0", "--rho", "nan"],
+        ["--eps", "0", "--rho", "inf"],
+        ["--eps", "nan", "--exact"],
+        ["--eps", "0", "--rho", "nan", "--exact"],
+        ["--eps", "1/0", "--exact"],
+    ],
+)
+def test_moments_refuses_non_finite_input(flags, capsys):
+    assert main(["moments", *flags]) == 2
+    assert "refused" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bend",
+    [
+        lambda res: dataclasses.replace(res, residuals=res.residuals + 2e-9),
+        lambda res: dataclasses.replace(res, mass_defect=2e-12),
+    ],
+)
+def test_moments_exits_one_when_its_check_fails(bend, monkeypatch, capsys):
+    real = cli.circle_moment_match
+
+    def off(*args, **kwargs):
+        return bend(real(*args, **kwargs))
+
+    assert main(["moments", "--eps", "0,0.1"]) == 0
+    monkeypatch.setattr(cli, "circle_moment_match", off)
+    assert main(["moments", "--eps", "0,0.1"]) == 1
+    assert main(["moments", "--eps", "0,0.1", "--exact"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+@pytest.mark.parametrize("d", ["0", "2"])
+def test_flatten_refuses_non_finite_eps(eps, d, capsys):
+    assert main(["flatten", "--eps", eps, "--d", d]) == 2
+    assert "refused" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -182,3 +183,28 @@ def test_refusals_propagate_out_of_suites():
 
     with pytest.raises(PreconditionError):
         run_check("unitary_orthogonal_orbit", {"model": "grid:4096", "n": 4})
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        None,
+        {"model": "unilateral-shift", "n": 70},
+        {"model": "diagonal-qi:2", "n": 101, "eps": 0.2},
+    ],
+)
+def test_rokhlin_mean_identity_matches_loop(params):
+    # the tower mean as the two-term loop the check used before combine
+    c = run_check("rokhlin_tower", params)
+    p = params or {}
+    n = p.get("n", 65)
+    tower = harness.rokhlin_tower(
+        build_model(p.get("model", "bilateral-shift")), n, p.get("eps", 0.25)
+    )
+    total = WindowVector.zero()
+    for w in tower.w:
+        total = total + w
+    mean_defect = (total * (1.0 / math.sqrt(n)) - tower.u).norm()
+    line = next(r for r in c.results if r.label == "mean_identity")
+    assert line.measured == mean_defect
+    assert c.passed()

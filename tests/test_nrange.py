@@ -535,3 +535,41 @@ def test_compression_input_validation():
         diagonal_compression_subspace(BilateralShift(), 0.3, n=0, dim=2)
     with pytest.raises(DegenerateInputError):
         diagonal_compression_subspace(BilateralShift(), 0.3, n=2, dim=0)
+
+
+# -- the shift realization against the two-term loop it replaced
+
+
+def windows_by_loop(terms):
+    x = WindowVector.zero()
+    for c, window in terms:
+        x = x + c * window
+    return x
+
+
+@pytest.mark.parametrize(
+    "ops, mu",
+    [
+        (BilateralShift(), [0.03 + 0.02j, -0.01j, 0.02]),
+        (power_tuple(BilateralShift(), 4), [0.5 ** p for p in range(1, 5)]),
+        (power_tuple(UnilateralShift(), 3), [0.4, 0.16, 0.064]),
+    ],
+)
+def test_shift_realization_matches_loop(monkeypatch, ops, mu):
+    res = we_membership_witness(ops, mu, 0.05)
+    monkeypatch.setattr(nrange, "combine", windows_by_loop)
+    ref = we_membership_witness(ops, mu, 0.05)
+    assert res.params["atom_count"] > 1
+    assert res.vector == ref.vector
+    assert np.array_equal(res.measured, ref.measured)
+    assert np.array_equal(res.defects, ref.defects)
+
+
+def test_witness_and_compression_refuse_non_finite_input():
+    s = BilateralShift()
+    for mu, delta in (([complex("nan")], 0.05), ([0.1], float("inf")), ([0.1], float("nan"))):
+        with pytest.raises(DegenerateInputError):
+            we_membership_witness(s, mu, delta)
+    for lam in (complex("nan"), complex("inf"), 1e200):
+        with pytest.raises(DegenerateInputError):
+            diagonal_compression_subspace(s, lam, 3)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -38,7 +39,8 @@ from orbitforge.spectra import (
     shift_eigen_window,
     spectral_descriptor,
 )
-from orbitforge.vectors import WindowVector, inner
+from orbitforge.vectors import WindowVector, inner, normalize
+from orbitforge.witness import almost_orthogonal_orbit
 
 
 # -- regions ------------------------------------------------------------
@@ -387,3 +389,61 @@ def test_orbit_folding_validation():
         orbit_to_approx_eigenvector(op, 2.0 * WindowVector.basis(0), 1.0, 3)
     with pytest.raises(DegenerateInputError):
         orbit_to_approx_eigenvector(op, WindowVector.basis(0), 1.0, 0)
+
+
+def test_nan_eigenvalues_are_refused():
+    nan = complex("nan")
+    with pytest.raises(DegenerateInputError):
+        shift_eigen_window(BilateralShift(), nan, 8)
+    diagonal = DiagonalUnitary(QuadraticIrrationalRotation(2))
+    for op in (BilateralShift(), diagonal, MultiplicationGrid(16)):
+        with pytest.raises(DomainError):
+            approx_eigenvector(op, nan, 8)
+    with pytest.raises(DomainError):
+        approx_eigenvector_family(diagonal, [nan], 8)
+    with pytest.raises(DomainError):
+        orbit_to_approx_eigenvector(BilateralShift(), WindowVector.basis(0), nan, 3)
+
+
+# -- the orbit fold against the two-term loop it replaced
+
+
+def fold_by_loop(op, x, lam, n):
+    """y = sum_j lam^{-j} T^j x, one add_scaled merge per term."""
+    y = x
+    cur = x
+    for j in range(1, n):
+        cur = op.apply(cur)
+        y = y + lam ** (-j) * cur
+    return y
+
+
+def assert_fold_matches_loop(op, x, lam, n):
+    pair = orbit_to_approx_eigenvector(op, x, lam, n)
+    y = fold_by_loop(op, x, lam, n)
+    raw_norm = y.norm()
+    assert pair.raw_norm == raw_norm
+    assert pair.vector == y * (1.0 / raw_norm)
+    assert pair.residual == (op.apply(y) - lam * y).norm() / raw_norm
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_orbit_fold_matches_loop_at_every_root(n):
+    op = BilateralShift()
+    x = almost_orthogonal_orbit(op, n, 0.5).x
+    for k in range(n):
+        assert_fold_matches_loop(op, x, cmath.exp(2j * math.pi * k / n), n)
+
+
+def test_orbit_fold_matches_loop_on_other_models():
+    rng = np.random.default_rng(7)
+    # contiguous start (slice adds), then a strided one (fancy-index adds)
+    dense = normalize(WindowVector.from_dense(rng.normal(size=40) + 1j * rng.normal(size=40)))
+    strided = WindowVector(np.arange(0, 90, 3), rng.normal(size=30) + 1j * rng.normal(size=30))
+    strided = normalize(strided)
+    lam = cmath.exp(0.7j)
+    assert_fold_matches_loop(BilateralShift(ConstantWeights(0.8j)), dense, lam, 8)
+    assert_fold_matches_loop(UnilateralShift(), strided, lam, 8)
+    diagonal = DiagonalUnitary(QuadraticIrrationalRotation(2))
+    x = almost_orthogonal_orbit(diagonal, 4, 0.25).x
+    assert_fold_matches_loop(diagonal, x, 1j, 4)

@@ -18,6 +18,7 @@ from orbitforge.vectors import (
     WINDOW_BUDGET_ENV,
     WindowVector,
     add_scaled,
+    combine,
     cross_gram,
     gram,
     inner,
@@ -352,3 +353,102 @@ def test_add_scaled_drops_exact_cancellation():
     assert out.indices.tolist() == [-(2 ** 62) + 1, 5, 7]
     assert_bit_identical(out, add_scaled_by_sort(u, v, 1.0, -1.0))
     assert add_scaled(u, u, 1.0, -1.0).nnz == 0
+
+
+# -- combine: the dense accumulator against the left fold of add_scaled
+
+
+def combine_by_fold(terms):
+    """The left fold of two-term merges that combine replaces."""
+    out = WindowVector.zero()
+    for c, v in terms:
+        out = add_scaled(out, v, 1.0, c)
+    return out
+
+
+coefficient = st.one_of(st.just(1.0), st.just(-1.0), value)
+
+
+@st.composite
+def combine_terms(draw):
+    """Terms whose supports overlap, are disjoint, shifted by one, equal
+    (one array object) or empty, with exact cancellations of the term
+    before; the first support may lie next to +-2^62."""
+    u = on(draw, np.unique(np.array(draw(index_sets), np.int64)))
+    terms = [(draw(coefficient), u)]
+    for _ in range(draw(st.integers(0, 5))):
+        c, last = terms[-1]
+        relation = draw(
+            st.sampled_from(("overlap", "disjoint", "shift", "equal", "cancel", "empty"))
+        )
+        if relation == "cancel":
+            terms.append((-c, last))
+            continue
+        if relation == "empty" or len(last) == 0:
+            v = WindowVector.zero()
+        elif relation == "overlap":
+            extra = draw(st.lists(st.integers(-3, 3), max_size=6))
+            near = last.indices[0] + np.array(extra, np.int64)
+            picks = np.concatenate([last.indices[::2], near])
+            v = on(draw, np.unique(picks))
+        elif relation == "disjoint":
+            v = on(draw, last.indices[-1] + np.arange(1, len(last) + 1, dtype=np.int64))
+        elif relation == "shift":
+            v = on(draw, last.indices + np.int64(draw(st.sampled_from((-1, 1)))))
+        else:
+            factors = values_for(draw, len(last))
+            v = last.scale_by(lambda idx: factors)
+        terms.append((draw(coefficient), v))
+    return terms
+
+
+@given(combine_terms())
+def test_combine_equals_the_add_scaled_fold(terms):
+    assert combine(terms) == combine_by_fold(terms)
+    assert combine(iter(terms)) == combine_by_fold(terms)
+
+
+@given(dense_families(), st.lists(coefficient, min_size=5, max_size=5))
+def test_combine_dense_path_never_merges(family, coefficients):
+    terms = list(zip(coefficients, family))
+    want = combine_by_fold(terms)
+    with mock.patch.object(vectors, "add_scaled", side_effect=AssertionError("sparse path taken")):
+        got = combine(terms)
+    assert got == want
+
+
+@given(sparse_families(), st.lists(coefficient, min_size=5, max_size=5))
+def test_combine_sparse_path_allocates_no_span(family, coefficients):
+    terms = list(zip(coefficients, family))
+    stored = sum(len(v) for v in family)
+    sizes = []
+
+    def recording(alloc):
+        def wrapped(shape, *args, **kwargs):
+            sizes.append(int(np.prod(shape)))
+            return alloc(shape, *args, **kwargs)
+
+        return wrapped
+
+    with mock.patch.object(np, "full", recording(np.full)), mock.patch.object(
+        np, "zeros", recording(np.zeros)
+    ), mock.patch.object(vectors, "add_scaled", wraps=add_scaled) as merge:
+        got = combine(terms)
+    assert max(sizes, default=0) <= 2 * stored
+    assert merge.call_count == sum(1 for v in family if len(v))
+    assert got == combine_by_fold(terms)
+
+
+def test_combine_empty_and_lone_terms():
+    assert combine([]) == WindowVector.zero()
+    assert combine([(2.0, WindowVector.zero()), (1j, WindowVector.zero())]).nnz == 0
+    # a lone term keeps its bits, signed zero components included, on the
+    # dense path (slice and fancy index) and on the sparse one
+    values = [complex(-0.0, 1.5), complex(2.0, -0.0), complex(-1.0, 0.0)]
+    for indices in ([-1, 0, 1], [-1, 0, 2], [-3, 0, 4]):
+        v = WindowVector(indices, values)
+        assert_bit_identical(combine([(1, v)]), v)
+        for c in (0.5 - 2j, -1.0):
+            assert_bit_identical(combine([(c, v)]), combine_by_fold([(c, v)]))
+            assert_bit_identical(combine([(c, v), (0.0, WindowVector.zero())]), c * v)
+        assert combine([(1, v), (-1, v)]).nnz == 0

@@ -23,7 +23,8 @@ from orbitforge.operators import (
     QuadraticIrrationalRotation,
     UnilateralShift,
 )
-from orbitforge.vectors import WindowVector, inner, normalize
+from orbitforge import witness
+from orbitforge.vectors import WindowVector, add_scaled, inner, normalize
 from orbitforge.witness import (
     almost_orthogonal_orbit,
     rokhlin_tower,
@@ -370,3 +371,49 @@ def test_rotation_tower_refusals():
         rotation_tower(MultiplicationGrid(64), 1)
     with pytest.raises(DegenerateInputError):
         rotation_tower(MultiplicationGrid(64), 8, w0=0.5 * WindowVector.basis(0))
+
+
+# -- many-term sums against the two-term loops they replaced
+
+
+def mix_by_loop(terms):
+    """The family mix of almost_orthogonal_orbit, one merge per term."""
+    v = WindowVector.zero()
+    for scale, vec in terms:
+        v = add_scaled(v, vec, 1.0, scale)
+    return v
+
+
+@pytest.mark.parametrize(
+    "op, n",
+    [
+        (BilateralShift(), 8),
+        (UnilateralShift(), 4),
+        (DiagonalUnitary(QuadraticIrrationalRotation(2)), 4),
+    ],
+)
+def test_orbit_family_mix_matches_loop(monkeypatch, op, n):
+    cert = almost_orthogonal_orbit(op, n, 0.25)
+    monkeypatch.setattr(witness, "combine", mix_by_loop)
+    ref = almost_orthogonal_orbit(op, n, 0.25)
+    assert cert.x == ref.x
+    assert np.array_equal(cert.gram, ref.gram)
+    assert np.array_equal(cert.norms, ref.norms)
+    assert cert.recurrence == ref.recurrence
+
+
+def sum_defect_by_loop(w):
+    total = WindowVector.zero()
+    for v in w:
+        total = total + v
+    return float(np.max(np.abs(total.values))) if len(total.values) else 0.0
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_rotation_tower_sum_defect_matches_loop(n):
+    grid = MultiplicationGrid(1024)
+    values = np.zeros(1024)
+    values[10:500:3] = 1.0  # a strided w0: fancy-index adds
+    for w0 in (None, normalize(grid.embed(values))):
+        tower = rotation_tower(grid, n, w0=w0)
+        assert tower.sum_defect == sum_defect_by_loop(tower.w)
