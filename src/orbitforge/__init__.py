@@ -7,6 +7,7 @@ constructions (witness), flat vectors and subspaces (flatten), verification
 suites (harness), and a command line (cli).
 """
 
+from .certify import Check
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -32,7 +33,6 @@ from .flatten import (
 )
 from .harness import (
     CHECK_IDS,
-    CheckLine,
     VerificationCheck,
     build_model,
     emit_report,

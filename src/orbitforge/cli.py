@@ -21,8 +21,6 @@ from .errors import ConfigError, DegenerateInputError, NumericalError, REFUSAL_E
 from .flatten import flat_report_csv, flat_subspace, flat_vector
 from .harness import (
     CHECK_IDS,
-    MASS_BOUND,
-    MOMENT_BOUNDS,
     STATEMENTS,
     build_model,
     check_from_json,
@@ -142,10 +140,7 @@ def _cmd_moments(args):
         rho = _number(float, args.rho)
     res = circle_moment_match(eps, rho=rho, mode=mode)
     blob = res.to_json()
-    ok = (
-        blob["residual_max"] <= MOMENT_BOUNDS[mode]
-        and abs(res.mass_defect) <= MASS_BOUND
-    )
+    ok = all(c.passed for c in res.checks())
     print(
         f"{len(res.measure.weights)} atoms  residual {blob['residual_max']:.3e}  "
         f"mass defect {abs(res.mass_defect):.3e}  mode {mode}  "
@@ -297,8 +292,9 @@ def _cmd_replay(args):
             for old, new in zip(recorded.results, fresh.results):
                 if old != new:
                     print(
-                        f"  {old.label}: recorded {old.measured!r} "
-                        f"recomputed {new.measured!r}"
+                        f"  recorded {old.label} {old.measured!r} (bound "
+                        f"{old.bound!r}), recomputed {new.label} {new.measured!r} "
+                        f"(bound {new.bound!r})"
                     )
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 

@@ -40,6 +40,7 @@ from .errors import (
     PreconditionError,
     UnsupportedModelError,
 )
+from .certify import Check, require
 from .nrange import numerical_radius
 from .operators import (
     BilateralShift,
@@ -411,7 +412,8 @@ def _verify_flat(op, x, eps, targets, schedule, rng):
         + [t["sup_forward"] for t in per_target]
         + [t["sup_adjoint"] for t in per_target]
     )
-    report = {
+    require([Check.at_most("sup_forms", worst, eps)], "flat vector")
+    return {
         "schedule": schedule.to_json(),
         "scan": scan,
         "sup_form": sup_diag,
@@ -420,13 +422,8 @@ def _verify_flat(op, x, eps, targets, schedule, rng):
         "exact_zero_beyond": span + 1,
         "targets": per_target,
         "eps": eps,
-        "passed": bool(worst <= eps),
+        "passed": True,
     }
-    if not report["passed"]:
-        raise NumericalError(
-            "flat vector failed its measured supremum check", residual=worst
-        )
-    return report
 
 
 # -- flat subspaces ---------------------------------------------------------------
@@ -448,7 +445,6 @@ def flat_subspace(op, eps, d, window_budget=None, rng=None):
     if d < 1:
         raise DegenerateInputError("need at least one subspace dimension")
     K = _flat_power_bound(op)
-    rng = np.random.default_rng(0 if rng is None else rng)
     meter = BudgetMeter(window_budget)
 
     thresholds = _stage_thresholds(eps, d)
@@ -474,80 +470,136 @@ def flat_subspace(op, eps, d, window_budget=None, rng=None):
     )
     schedule.validate()
 
-    # closed-form certificate: at any n >= 1 the compression matrix is lower
-    # triangular with |C[i][j]| <= 1 / sqrt(s_i s_j), each difference realized
-    # by at most one atom pair of the shared Sidon pool
+    checks, measured = verify_flat_subspace(op, vectors, eps, rng)
+    # ||C|| <= 2 w(C) holds for every matrix; a miss flags the radius sweep
+    per_n = []
+    excess = []
+    for row in measured.pop("per_n"):
+        w, _theta = numerical_radius(row.pop("compression"))
+        excess.append(row["norm"] - 2.0 * w)
+        per_n.append(dict(row, numerical_radius=w, norm_le_2w=excess[-1] <= 1e-12))
+    checks.append(Check.at_most("norm_le_2w", max(excess), 1e-12))
+    require(checks, "flat subspace")
+    report = dict(
+        measured,
+        schedule=schedule.to_json(),
+        stage_bounds_target=[float(Fraction(eps) / 2 ** (r + 1)) for r in range(d)],
+        per_n=per_n,
+        eps=eps,
+        checks=[c.to_json() for c in checks],
+        passed=True,
+    )
+    return Subspace(tuple(vectors)), report
+
+
+def _sample_ratio_bound(d):
+    """Enclosure of the computed ||C_n|| / stage bound when the exact one is <= 1.
+
+    Every atom value is fl(1 / fl(sqrt(s))), within a factor 1 + gamma_2 of
+    1/sqrt(s) (gamma_k = k u / (1 - k u), u = 2^-53), and each compression
+    entry has at most one aligned atom pair, so its computed value is one
+    rounded product: |C^_ij| <= (1 + gamma_5) / sqrt(s_i s_j) entrywise (the
+    zero terms of the sum are exact).  Each bound-matrix entry is
+    fl(1 / fl(sqrt(s_i s_j))) >= (1 - gamma_2) / sqrt(s_i s_j).  The 2-norm
+    of a nonnegative matrix grows with its entries, so the exact ratio of the
+    two computed matrices is at most (1 + gamma_5) / (1 - gamma_2).  The
+    singular values come back from a backward-stable SVD, exact for a matrix
+    within p u ||A||_2 of A, p = 16 d as for the eigensolver in
+    :func:`orbitforge.nrange._radius_sweep` (LAPACK Users' Guide sec. 4.9;
+    Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1 for the
+    gamma_k), so the two norms move by factors 1 +- 16 d u, and the division
+    rounds once more.  The product is
+
+        (1 + u) (1 + gamma_5) (1 + 16 d u) / ((1 - gamma_2) (1 - 16 d u))
+            = 1 + (8 + 32 d) u + O(d^2 u^2),
+
+    and 1 + (10 + 32 d) u covers the second-order terms for d below 10^6; it
+    is an even multiple of u, so 1 + it is a float.
+    """
+    return 1.0 + (10 + 32 * d) * 2.0 ** -53
+
+
+def verify_flat_subspace(op, basis, eps, rng=None):
+    """The flat-subspace statement re-measured from the basis: (lines, measured).
+
+    B[i, j] = 1/sqrt(s_i s_j), j <= i, bounds |<T^n b_j, b_i>| at every n >= 1
+    (s_i atoms in b_i, one aligned pair of the Sidon pool per entry); stages
+    <= r are dead, their block zero, from n = times[r] (bottom of b_0 to top
+    of b_r) on.  Lines: gram_identity max |Gram - I| <= 1e-10, sup_closed_form
+    ||B|| <= eps, stage_tails_rescaled max_r 2^{r+1} ||B, stages <= r dead||
+    <= eps, sampled_within_bounds max ||C_n|| / stage bound <=
+    :func:`_sample_ratio_bound` over powers n up to the span, and
+    vanishes_beyond_span ||C_n|| <= 0 past it.  The powers come from ``rng``,
+    so a re-check with the builder's seed samples the builder's powers.
+    ``measured`` holds the report numbers and per_n rows with the compression.
+    """
+    rng = np.random.default_rng(0 if rng is None else rng)
+    d = len(basis)
+    gram_defect = float(np.max(np.abs(gram(basis) - np.eye(d))))
+
+    counts = [len(v.indices) for v in basis]
+    bottom = int(basis[0].indices[0])
+    times = [int(v.indices[-1]) - bottom + 1 for v in basis]
+    total_span = times[-1] - 1
     bound_matrix = np.zeros((d, d))
     for i in range(d):
         for j in range(i + 1):
             bound_matrix[i, j] = 1.0 / math.sqrt(counts[i] * counts[j])
     sup_bound = float(np.linalg.norm(bound_matrix, 2))
-    stage_bounds = []
-    for r in range(d):
+
+    def stage_bound(dead):
         live = bound_matrix.copy()
-        live[: r + 1, : r + 1] = 0.0  # stages <= r are dead past times[r]
-        stage_bounds.append(float(np.linalg.norm(live, 2)))
+        live[:dead, :dead] = 0.0
+        return float(np.linalg.norm(live, 2))
 
-    gram_defect = float(np.max(np.abs(gram(vectors) - np.eye(d))))
+    stage_bounds = [stage_bound(r + 1) for r in range(d)]
+    tails = max(sb * 2 ** (r + 1) for r, sb in enumerate(stage_bounds))
 
-    # honest samples: one realized difference per stage pair, plus a random
-    # power and the beyond-horizon zero
     samples = set()
     for i in range(d):
-        vi = vectors[i].indices
+        vi = basis[i].indices
         for j in range(i + 1):
-            vj = vectors[j].indices
+            vj = basis[j].indices
             gap = int(vi[rng.integers(len(vi))]) - int(vj[rng.integers(len(vj))])
             if gap >= 1:
                 samples.add(gap)
-    total_span = int(vectors[-1].indices[-1]) - int(vectors[0].indices[0])
     samples.add(int(rng.integers(1, total_span + 1)))
     samples.add(total_span + 1)
 
     per_n = []
+    worst_ratio = beyond = 0.0
     for n in sorted(samples):
-        c = cross_gram([apply_power(op, v, n) for v in vectors], vectors).T
+        c = cross_gram([apply_power(op, b, n) for b in basis], basis).T
         norm = float(np.linalg.norm(c, 2))
-        w, _theta = numerical_radius(c)
-        dead = sum(1 for t in times if t <= n)
-        stage_bound = stage_bounds[dead - 1] if dead else sup_bound
-        entry = {
-            "n": n,
-            "norm": norm,
-            "numerical_radius": w,
-            "norm_le_2w": bool(norm <= 2.0 * w + 1e-12),
-            "stage_bound": stage_bound,
-            "beyond_horizon": n > total_span,
-        }
-        per_n.append(entry)
-        if n > total_span and norm != 0.0:
-            raise NumericalError("compression should vanish beyond the span")
-        if norm > stage_bound + 1e-12 or not entry["norm_le_2w"]:
-            raise NumericalError(
-                "sampled compression violates its certificate", residual=norm
-            )
-
-    report = {
-        "schedule": schedule.to_json(),
+        bound = stage_bound(sum(1 for t in times if t <= n))
+        if n > total_span:
+            beyond = max(beyond, norm)
+        else:
+            worst_ratio = max(worst_ratio, norm / bound)
+        per_n.append(
+            {
+                "n": n,
+                "norm": norm,
+                "stage_bound": bound,
+                "beyond_horizon": n > total_span,
+                "compression": c,
+            }
+        )
+    lines = [
+        Check.at_most("gram_identity", gram_defect, 1e-10),
+        Check.at_most("sup_closed_form", sup_bound, eps),
+        Check.at_most("stage_tails_rescaled", tails, eps),
+        Check.at_most("sampled_within_bounds", worst_ratio, _sample_ratio_bound(d)),
+        Check.at_most("vanishes_beyond_span", beyond, 0.0),
+    ]
+    measured = {
         "gram_defect": gram_defect,
         "sup_bound_closed_form": sup_bound,
         "stage_bounds": stage_bounds,
-        "stage_bounds_target": [float(Fraction(eps) / 2 ** (r + 1)) for r in range(d)],
-        "per_n": per_n,
         "total_span": total_span,
-        "eps": eps,
-        "passed": bool(
-            gram_defect <= 1e-10
-            and sup_bound <= eps
-            and all(
-                sb <= float(Fraction(eps) / 2 ** (r + 1)) + 1e-15
-                for r, sb in enumerate(stage_bounds)
-            )
-        ),
+        "per_n": per_n,
     }
-    if not report["passed"]:
-        raise NumericalError("flat subspace failed its certificate")
-    return Subspace(tuple(vectors)), report
+    return lines, measured
 
 
 def flat_report_csv(report):

@@ -1,10 +1,11 @@
 """Named verification suites that re-measure each construction from its outputs.
 
-Every suite drives one public construction with declared parameters, then
-recomputes the claimed inequalities directly from the returned vectors and
-the operator, never trusting the numbers the construction reported about
-itself.  A suite result is a flat list of (label, measured, bound, passed)
-lines plus the parameters and seed needed to reproduce it bit for bit.
+Every suite normalizes its parameters, drives one public construction, and
+hands the returned vectors to the statement's verifier, the same function the
+construction ran as its self-check, so nothing the construction reported
+about itself is read.  A suite result is a flat list of
+:class:`~orbitforge.certify.Check` lines plus the parameters and seed needed
+to reproduce it bit for bit.
 
 Reports serialize deterministically: JSON with sorted keys round-trips to an
 equal check object, CSV has one row per inequality, markdown embeds the
@@ -20,12 +21,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from .certify import Check
 from .errors import DegenerateInputError, NumericalError
-from .flatten import flat_subspace
-from .moments import circle_moment_match
-from .nrange import diagonal_compression_subspace
+from .flatten import flat_subspace, verify_flat_subspace
+from .moments import circle_moment_match, verify_moment_match
+from .nrange import diagonal_compression_subspace, verify_compression
 from .operators import (
     BilateralShift,
     ConstantWeights,
@@ -34,18 +34,22 @@ from .operators import (
     OperatorPower,
     QuadraticIrrationalRotation,
     UnilateralShift,
-    apply_power,
-    compress,
     operator_from_json,
-    power_forms,
 )
-from .spectra import orbit_to_approx_eigenvector
-from .vectors import combine, cross_gram, gram
-from .witness import almost_orthogonal_orbit, rokhlin_tower, zero_tuple_vector
+from .spectra import orbit_to_approx_eigenvector, verify_eigenpair
+from .vectors import WindowVector
+from .witness import (
+    almost_orthogonal_orbit,
+    rokhlin_tower,
+    verify_orbit,
+    verify_rokhlin_tower,
+    verify_unitary_orbit,
+    verify_zeroing,
+    zero_tuple_vector,
+)
 
 __all__ = [
     "CHECK_IDS",
-    "CheckLine",
     "VerificationCheck",
     "build_model",
     "check_from_json",
@@ -68,8 +72,9 @@ CHECK_IDS = (
 # the verified statement, quoted in markdown reports next to any failure
 STATEMENTS = {
     "orbit_certificate": (
-        "a unit x whose orbit x, Tx, ..., T^{n-1}x is pairwise eps-orthogonal "
-        "with norms within eps of one and ||T^n x - x|| < eps"
+        "a unit x orthogonal to T^j x within 1e-8 for j = 1..n-1, whose orbit "
+        "x, Tx, ..., T^{n-1}x is pairwise eps-orthogonal with norms within eps "
+        "of one and ||T^n x - x|| < eps"
     ),
     "orbit_reverse_eigenvector": (
         "folding that orbit, y = sum_j lam^-j T^j x, gives a unit vector with "
@@ -102,12 +107,6 @@ STATEMENTS = {
     ),
 }
 
-UNIT_TOL = 1e-12
-# moment_exact: moment error by mode, and mass error (also `orbitforge moments`)
-MOMENT_BOUNDS = {"exact": 1e-12, "float": 1e-9}
-MASS_BOUND = 1e-12
-
-
 # -- model specs ------------------------------------------------------------------
 
 
@@ -138,22 +137,6 @@ def build_model(spec):
 
 
 # -- check plumbing ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckLine:
-    label: str
-    measured: float
-    bound: float
-    passed: bool
-
-    def to_json(self):
-        return {
-            "label": self.label,
-            "measured": self.measured,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
 
 
 @dataclass
@@ -191,32 +174,10 @@ def check_from_json(obj):
     return VerificationCheck(
         check_id=obj["check_id"],
         params=obj["params"],
-        results=[
-            CheckLine(r["label"], r["measured"], r["bound"], r["passed"])
-            for r in obj["results"]
-        ],
+        results=[Check(**r) for r in obj["results"]],
         seed=obj["seed"],
         diagnostics=obj.get("diagnostics"),
     )
-
-
-def _line(label, measured, bound, strict=False):
-    measured = float(measured)
-    bound = float(bound)
-    ok = measured < bound if strict else measured <= bound
-    return CheckLine(label=label, measured=measured, bound=bound, passed=bool(ok))
-
-
-def _orbit_vectors(op, x, n):
-    return [apply_power(op, x, j) for j in range(n + 1)]
-
-
-def _pairwise_forms(orbit):
-    return float(np.max(np.triu(np.abs(gram(orbit)), 1), initial=0.0))
-
-
-def _norm_drift(orbit):
-    return max((abs(v.norm() - 1.0) for v in orbit), default=0.0)
 
 
 def _complex_param(value):
@@ -224,207 +185,78 @@ def _complex_param(value):
     return z, [z.real, z.imag]
 
 
-# -- the eight suites ---------------------------------------------------------------
+def _model(params, default):
+    """(operator, window budget, their normalized params) of a model suite."""
+    op = build_model(params.get("model", default))
+    budget = params.get("window_budget")
+    return op, budget, {"model": op.to_json(), "window_budget": budget}
+
+
+# -- the eight suites: normalize the parameters, build, verify ----------------------
 
 
 def _check_orbit_certificate(params, seed):
-    op = build_model(params.get("model", "bilateral-shift"))
-    n = int(params.get("n", 8))
-    eps = float(params.get("eps", 0.1))
-    budget = params.get("window_budget")
+    op, budget, norm = _model(params, "bilateral-shift")
+    n, eps = int(params.get("n", 8)), float(params.get("eps", 0.1))
     cert = almost_orthogonal_orbit(op, n, eps, window_budget=budget)
-    orbit = _orbit_vectors(op, cert.x, n)
-    lines = [
-        _line("unit_norm", abs(cert.x.norm() - 1.0), UNIT_TOL),
-        _line("pairwise_forms", _pairwise_forms(orbit[:n]), eps, strict=True),
-        _line("norm_drift", _norm_drift(orbit[:n]), eps, strict=True),
-        _line("recurrence", (orbit[n] - cert.x).norm(), eps, strict=True),
-    ]
-    norm_params = {
-        "model": op.to_json(),
-        "n": n,
-        "eps": eps,
-        "window_budget": budget,
-    }
-    return norm_params, lines
+    lines = verify_orbit(op, cert.x, n, eps).checks.values()
+    return dict(norm, n=n, eps=eps), list(lines)
 
 
 def _check_orbit_reverse_eigenvector(params, seed):
-    op = build_model(params.get("model", "bilateral-shift"))
+    op, budget, norm = _model(params, "bilateral-shift")
     n = int(params.get("n", 8))
     eps = float(params.get("eps", 1.0 / n))
     lam, lam_json = _complex_param(params.get("lam", 1.0))
-    budget = params.get("window_budget")
     cert = almost_orthogonal_orbit(op, n, eps, window_budget=budget)
     pair = orbit_to_approx_eigenvector(op, cert.x, lam, n)
-    residual = (op.apply(pair.vector) - lam * pair.vector).norm()
-    lines = [
-        _line("unit_norm", abs(pair.vector.norm() - 1.0), UNIT_TOL),
-        _line("eigen_residual", residual, 3.0 / n, strict=True),
-    ]
-    norm_params = {
-        "model": op.to_json(),
-        "n": n,
-        "eps": eps,
-        "lam": lam_json,
-        "window_budget": budget,
-    }
-    return norm_params, lines
+    lines = verify_eigenpair(op, pair.vector, lam, n)
+    return dict(norm, n=n, eps=eps, lam=lam_json), lines
 
 
 def _check_unitary_orthogonal_orbit(params, seed):
-    op = build_model(params.get("model", "diagonal-qi:2"))
-    n = int(params.get("n", 8))
-    eps = float(params.get("eps", 0.1))
-    budget = params.get("window_budget")
+    op, budget, norm = _model(params, "diagonal-qi:2")
+    n, eps = int(params.get("n", 8)), float(params.get("eps", 0.1))
     cert = almost_orthogonal_orbit(op, n, eps, window_budget=budget)
-    orbit = _orbit_vectors(op, cert.x, n)
-    lines = [
-        _line("orthogonality", _pairwise_forms(orbit[:n]), 1e-8),
-        _line("unit_norms", _norm_drift(orbit[:n]), UNIT_TOL),
-        _line("recurrence", (orbit[n] - cert.x).norm(), eps, strict=True),
-    ]
-    norm_params = {
-        "model": op.to_json(),
-        "n": n,
-        "eps": eps,
-        "window_budget": budget,
-    }
-    return norm_params, lines
+    return dict(norm, n=n, eps=eps), verify_unitary_orbit(op, cert.x, n, eps)
 
 
 def _check_rokhlin_tower(params, seed):
-    op = build_model(params.get("model", "bilateral-shift"))
-    n = int(params.get("n", 65))
-    eps = float(params.get("eps", 0.25))
-    budget = params.get("window_budget")
+    op, budget, norm = _model(params, "bilateral-shift")
+    n, eps = int(params.get("n", 65)), float(params.get("eps", 0.25))
     tower = rokhlin_tower(op, n, eps, window_budget=budget)
-    gram_defect = float(np.max(np.abs(gram(tower.w) - np.eye(n))))
-    total = combine((1, w) for w in tower.w)
-    mean_defect = (total * (1.0 / math.sqrt(n)) - tower.u).norm()
-    links = max(
-        (op.apply(tower.w[j]) - tower.w[(j + 1) % n]).norm() for j in range(n)
-    )
-    lines = [
-        _line("gram_identity", gram_defect, 1e-10),
-        _line("mean_identity", mean_defect, 1e-12),
-        _line("links", links, eps, strict=True),
-    ]
-    norm_params = {
-        "model": op.to_json(),
-        "n": n,
-        "eps": eps,
-        "window_budget": budget,
-    }
-    return norm_params, lines
+    lines = verify_rokhlin_tower(op, tower.w, tower.u, eps).checks.values()
+    return dict(norm, n=n, eps=eps), list(lines)
 
 
 def _check_flat_subspace(params, seed):
-    op = build_model(params.get("model", "bilateral-shift"))
-    eps = float(params.get("eps", 0.25))
-    d = int(params.get("d", 3))
-    budget = params.get("window_budget")
-    sub, report = flat_subspace(op, eps, d, window_budget=budget, rng=seed)
-
-    gram_defect = float(np.max(np.abs(gram(sub.basis) - np.eye(d))))
-
-    counts = [len(v.indices) for v in sub.basis]
-    bound_matrix = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i + 1):
-            bound_matrix[i, j] = 1.0 / math.sqrt(counts[i] * counts[j])
-    sup_bound = float(np.linalg.norm(bound_matrix, 2))
-    tail_rescaled = 0.0
-    for r in range(d - 1):
-        live = bound_matrix.copy()
-        live[: r + 1, : r + 1] = 0.0
-        tail_rescaled = max(
-            tail_rescaled, float(np.linalg.norm(live, 2)) * 2 ** (r + 1)
-        )
-
-    times = report["schedule"]["times"]
-    span = report["total_span"]
-    worst_ratio = 0.0
-    beyond = 0.0
-    for row in report["per_n"]:
-        n = row["n"]
-        c = cross_gram([apply_power(op, b, n) for b in sub.basis], sub.basis).T
-        norm = float(np.linalg.norm(c, 2))
-        if n > span:
-            beyond = max(beyond, norm)
-            continue
-        dead = sum(1 for t in times if t <= n)
-        live = bound_matrix.copy()
-        if dead:
-            live[:dead, :dead] = 0.0
-        stage_bound = float(np.linalg.norm(live, 2))
-        worst_ratio = max(worst_ratio, norm / stage_bound)
-    lines = [
-        _line("gram_identity", gram_defect, 1e-10),
-        _line("sup_closed_form", sup_bound, eps),
-        _line("stage_tails_rescaled", tail_rescaled, eps),
-        _line("sampled_within_bounds", worst_ratio, 1.0),
-        _line("vanishes_beyond_span", beyond, 0.0),
-    ]
-    norm_params = {
-        "model": op.to_json(),
-        "eps": eps,
-        "d": d,
-        "window_budget": budget,
-    }
-    return norm_params, lines
+    op, budget, norm = _model(params, "bilateral-shift")
+    eps, d = float(params.get("eps", 0.25)), int(params.get("d", 3))
+    sub, _report = flat_subspace(op, eps, d, window_budget=budget, rng=seed)
+    lines, _measured = verify_flat_subspace(op, sub.basis, eps, rng=seed)
+    return dict(norm, eps=eps, d=d), lines
 
 
 def _check_tuple_zeroing(params, seed):
-    op = build_model(params.get("model", "bilateral-shift"))
+    op, budget, norm = _model(params, "bilateral-shift")
     powers = [int(p) for p in params.get("powers", [1, 2, 3, 4])]
     tol = float(params.get("tol", 1e-8))
-    budget = params.get("window_budget")
     ops = tuple(OperatorPower(op, p) for p in powers)
     cert = zero_tuple_vector(ops, tol=tol, window_budget=budget)
-    forms = float(np.max(np.abs(power_forms(op, powers, cert.x))))
-    lines = [
-        _line("unit_norm", abs(cert.x.norm() - 1.0), UNIT_TOL),
-        _line("zeroed_forms", forms, tol),
-        _line("distance_from_start", cert.x.norm(), 3.0 / 2.0),
-    ]
-    norm_params = {
-        "model": op.to_json(),
-        "powers": powers,
-        "tol": tol,
-        "window_budget": budget,
-    }
-    return norm_params, lines
+    lines = verify_zeroing(op, powers, cert.x, WindowVector.zero(), 0, tol)
+    return dict(norm, powers=powers, tol=tol), lines
 
 
 def _check_diagonal_compression(params, seed):
-    op = build_model(params.get("model", "bilateral-shift"))
+    op, budget, norm = _model(params, "bilateral-shift")
     lam, lam_json = _complex_param(params.get("lam", [0.4, 0.1]))
-    n = int(params.get("n", 3))
-    dim = int(params.get("dim", 2))
+    n, dim = int(params.get("n", 3)), int(params.get("dim", 2))
     delta = float(params.get("delta", 0.05))
-    budget = params.get("window_budget")
     res = diagonal_compression_subspace(
         op, lam, n, dim=dim, delta=delta, window_budget=budget
     )
-    gram_defect = float(np.max(np.abs(gram(res.subspace.basis) - np.eye(dim))))
-    defect = 0.0
-    for p in range(1, n + 1):
-        comp = compress(OperatorPower(op, p), res.subspace)
-        defect = max(defect, float(np.max(np.abs(comp - lam ** p * np.eye(dim)))))
-    lines = [
-        _line("gram_identity", gram_defect, 1e-10),
-        _line("power_defects", defect, delta),
-    ]
-    norm_params = {
-        "model": op.to_json(),
-        "lam": lam_json,
-        "n": n,
-        "dim": dim,
-        "delta": delta,
-        "window_budget": budget,
-    }
-    return norm_params, lines
+    lines = verify_compression(op, res.subspace, lam, n, delta).checks.values()
+    return dict(norm, lam=lam_json, n=n, dim=dim, delta=delta), list(lines)
 
 
 def _check_moment_exact(params, seed):
@@ -443,25 +275,11 @@ def _check_moment_exact(params, seed):
         rho_v = float(rho)
         norm_targets = [[z.real, z.imag] for z in eps]
     res = circle_moment_match(eps, rho=rho_v, mode=mode)
-    n = len(eps)
-    moments = res.measure.moments(n)
-    targets_c = np.array([complex(t) for t in eps])
-    moment_err = float(np.max(np.abs(moments - targets_c)))
-    mass_err = abs(res.measure.mass() - 1.0)
-    lines = [
-        _line("moment_error", moment_err, MOMENT_BOUNDS[mode]),
-        _line("mass", mass_err, MASS_BOUND),
-    ]
-    if mode == "exact":
-        cert = res.exact_certificate or {}
-        symbolic_ok = cert.get("moment_defects_zero") and cert.get("mass_defect_zero")
-        lines.append(_line("symbolic_zero_defects", 0.0 if symbolic_ok else 1.0, 0.0))
-    norm_params = {
-        "mode": mode,
-        "rho": str(rho_v) if mode == "exact" else rho_v,
-        "eps": norm_targets,
-    }
-    return norm_params, lines
+    lines = verify_moment_match(
+        res.measure, [complex(t) for t in eps], mode, res.exact_certificate
+    )
+    norm_rho = str(rho_v) if mode == "exact" else rho_v
+    return {"mode": mode, "rho": norm_rho, "eps": norm_targets}, lines
 
 
 _SUITES = {
@@ -500,7 +318,7 @@ def run_check(check_id, params=None, seed=0):
         return VerificationCheck(
             check_id=check_id,
             params=params,
-            results=[CheckLine("construction_certificate", measured, bound, False)],
+            results=[Check("construction_certificate", measured, bound, False)],
             seed=seed,
             diagnostics=str(exc),
         )

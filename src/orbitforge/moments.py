@@ -28,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .certify import Check, require
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -35,8 +36,11 @@ from .errors import (
     ResolutionError,
 )
 from .exactring import QI, Ring
+from .operators import TWO_PI
 
-TWO_PI = 2.0 * math.pi
+# the moment statement's bounds: moment error by mode, and mass error
+MOMENT_BOUNDS = {"exact": 1e-12, "float": 1e-9}
+MASS_BOUND = 1e-12
 
 
 def _as_fraction(x):
@@ -127,6 +131,20 @@ class MomentMatchResult:
     stages: list = field(default_factory=list)
     exact_certificate: dict | None = None
 
+    def checks(self):
+        """moment_error max_k |m_k - e_k|, mass | mass - 1 |, and in exact mode
+        symbolic_zero_defects (0 when the ring left literal zeros)."""
+        bound = MOMENT_BOUNDS[self.mode]
+        lines = [
+            Check.at_most("moment_error", np.max(np.abs(self.residuals)), bound),
+            Check.at_most("mass", abs(self.mass_defect), MASS_BOUND),
+        ]
+        if self.mode == "exact":
+            cert = self.exact_certificate or {}
+            zero = cert.get("moment_defects_zero") and cert.get("mass_defect_zero")
+            lines.append(Check.at_most("symbolic_zero_defects", 0.0 if zero else 1.0, 0.0))
+        return lines
+
     def to_json(self):
         out = {
             "mode": self.mode,
@@ -194,16 +212,7 @@ def _match_float(eps, rho):
         positions.extend(_gadget_positions(rho, n + 1, 1.0))
         weights.extend([pad / (n + 1)] * (n + 1))
     measure = AtomicMeasure(rho, np.array(positions), np.array(weights))
-    targets = np.asarray(eps, np.complex128)
-    residuals = measure.moments(n) - targets
-    return MomentMatchResult(
-        measure=measure,
-        targets=targets,
-        residuals=residuals,
-        mass_defect=measure.mass() - 1.0,
-        mode="float",
-        stages=stages,
-    )
+    return _measured(measure, eps, "float", stages)
 
 
 def _match_exact(eps, rho):
@@ -273,22 +282,33 @@ def _match_exact(eps, rho):
         positions.extend(_gadget_positions(rho_f, n + 1, 1.0))
         weights.extend([pad / (n + 1)] * (n + 1))
     measure = AtomicMeasure(rho_f, np.array(positions), np.array(weights))
-    targets_c = np.array([e.to_complex() for e in eps_qi])
-    residuals = measure.moments(n) - targets_c
     certificate = {
         "moment_defects_zero": True,
         "mass_defect_zero": True,
         "stages": list(stages),
     }
+    targets_c = [e.to_complex() for e in eps_qi]
+    return _measured(measure, targets_c, "exact", stages, certificate)
+
+
+def _measured(measure, targets, mode, stages=(), exact_certificate=None):
+    """Result record with the residuals and mass defect measured from the atoms."""
+    targets = np.asarray(targets, np.complex128)
     return MomentMatchResult(
         measure=measure,
-        targets=targets_c,
-        residuals=residuals,
+        targets=targets,
+        residuals=measure.moments(len(targets)) - targets,
         mass_defect=measure.mass() - 1.0,
-        mode="exact",
-        stages=stages,
-        exact_certificate=certificate,
+        mode=mode,
+        stages=list(stages),
+        exact_certificate=exact_certificate,
     )
+
+
+def verify_moment_match(measure, targets, mode, exact_certificate=None):
+    """The moment lines re-measured from the atoms; the symbolic line reads
+    ``exact_certificate``, the ring's zero tests, which atoms cannot redo."""
+    return _measured(measure, targets, mode, (), exact_certificate).checks()
 
 
 def circle_moment_match(eps, rho=1.0, mode="float"):
@@ -297,16 +317,20 @@ def circle_moment_match(eps, rho=1.0, mode="float"):
     Targets beyond the admissible radius raise DomainError carrying that
     radius.  mode="exact" requires targets and rho representable as Gaussian
     rationals (ints, Fractions, floats, or QI) and returns a result whose
-    exact_certificate records the syntactic zero checks.
+    exact_certificate records the syntactic zero checks.  A result that misses
+    a line of :meth:`MomentMatchResult.checks` raises NumericalError.
     """
     eps = list(eps)
     if not eps:
         raise DegenerateInputError("need at least one target moment")
     if mode == "float":
-        return _match_float([complex(e) for e in eps], float(rho))
-    if mode == "exact":
-        return _match_exact(eps, rho)
-    raise DegenerateInputError(f"unknown mode {mode!r}")
+        res = _match_float([complex(e) for e in eps], float(rho))
+    elif mode == "exact":
+        res = _match_exact(eps, rho)
+    else:
+        raise DegenerateInputError(f"unknown mode {mode!r}")
+    require(res.checks(), "moment match")
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +373,9 @@ def power_profile_measure(lam, n, rho=1.0, tol=1e-12, max_nodes=1 << 22):
     targets = np.array([lam ** k for k in range(1, n + 1)])
     m = max(32, 4 * (n + 1))
     while True:
-        measure = poisson_atoms(lam, rho, m)
-        residuals = measure.moments(n) - targets
-        if np.max(np.abs(residuals)) <= tol:
-            return MomentMatchResult(
-                measure=measure,
-                targets=targets,
-                residuals=residuals,
-                mass_defect=measure.mass() - 1.0,
-                mode="poisson",
-                stages=[m],
-            )
+        res = _measured(poisson_atoms(lam, rho, m), targets, "poisson", [m])
+        if np.max(np.abs(res.residuals)) <= tol:
+            return res
         if m >= max_nodes:
             raise ResolutionError(
                 f"{m} nodes cannot reach tolerance {tol:g} for |u|/rho = "

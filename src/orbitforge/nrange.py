@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .certify import Check, by_label, require
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -45,6 +46,7 @@ from .moments import (
     power_profile_measure,
 )
 from .operators import (
+    TWO_PI,
     BilateralShift,
     ConstantWeights,
     DenseOperator,
@@ -60,8 +62,6 @@ from .operators import (
 )
 from .spectra import circle_in_pi_essential, shift_eigen_window
 from .vectors import BudgetMeter, WindowVector, combine, gram, inner, normalize
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +365,15 @@ def _detect_power_profile(powers, mu):
         lam = complex(mu[powers.index(1)])
     else:
         return None
-    for p, m in zip(powers, mu):
-        if abs(complex(m) - lam ** p) > 1e-12 * (1.0 + abs(lam)) ** p:
-            return None
+    try:
+        for p, m in zip(powers, mu):
+            if abs(complex(m) - lam ** p) > 1e-12 * (1.0 + abs(lam)) ** p:
+                return None
+    except OverflowError:
+        raise DegenerateInputError(
+            f"lam^p overflows float64 for some p <= {max(powers)} "
+            f"(|lam| = {abs(lam):.6g})"
+        ) from None
     return lam
 
 
@@ -524,9 +530,38 @@ class CompressionResult:
     power_defects: np.ndarray
     gram_defect: float
     delta: float
+    checks: dict
 
     def passed(self):
-        return bool(np.all(self.power_defects <= self.delta)) and self.gram_defect <= 1e-10
+        return all(c.passed for c in self.checks.values())
+
+
+def verify_compression(op, subspace, lam, n, delta):
+    """Result record with gram_identity max |Gram - I| <= 1e-10 and
+    power_defects max_{p <= n} max |P T^p P - lam^p I| <= delta."""
+    dim = subspace.dim
+    gram_defect = float(np.max(np.abs(gram(subspace.basis) - np.eye(dim))))
+    defects = np.array(
+        [
+            np.max(np.abs(compress(OperatorPower(op, p), subspace) - lam ** p * np.eye(dim)))
+            for p in range(1, n + 1)
+        ]
+    )
+    checks = by_label(
+        (
+            Check.at_most("gram_identity", gram_defect, 1e-10),
+            Check.at_most("power_defects", np.max(defects), delta),
+        )
+    )
+    return CompressionResult(
+        subspace=subspace,
+        lam=lam,
+        n_powers=n,
+        power_defects=defects,
+        gram_defect=gram_defect,
+        delta=delta,
+        checks=checks,
+    )
 
 
 def diagonal_compression_subspace(op, lam, n, dim=2, delta=1e-3, window_budget=None):
@@ -556,23 +591,6 @@ def diagonal_compression_subspace(op, lam, n, dim=2, delta=1e-3, window_budget=N
             op, mu, delta, constraints=vectors, window_budget=window_budget
         )
         vectors.append(res.vector)
-    sub = Subspace(vectors)
-    gram_defect = float(np.max(np.abs(gram(vectors) - np.eye(dim))))
-    defects = []
-    for p in range(1, n + 1):
-        comp = compress(OperatorPower(op, p), sub)
-        defects.append(float(np.max(np.abs(comp - lam ** p * np.eye(dim)))))
-    defects = np.array(defects)
-    if np.max(defects) > delta:
-        raise NumericalError(
-            f"compression defect {np.max(defects):.3e} exceeds delta {delta:g}",
-            residual=float(np.max(defects)),
-        )
-    return CompressionResult(
-        subspace=sub,
-        lam=lam,
-        n_powers=n,
-        power_defects=defects,
-        gram_defect=gram_defect,
-        delta=delta,
-    )
+    res = verify_compression(op, Subspace(vectors), lam, n, delta)
+    require(res.checks.values(), "compression subspace")
+    return res

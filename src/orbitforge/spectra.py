@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import UNIT_TOL, Check
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -682,3 +683,15 @@ def orbit_to_approx_eigenvector(op, x, lam, n):
         support_window=(lo, hi),
         raw_norm=raw_norm,
     )
+
+
+def verify_eigenpair(op, y, lam, n):
+    """unit_norm | ||y|| - 1 | <= UNIT_TOL and eigen_residual ||(T - lam) y|| < 3/n.
+
+    Not a self-check of the fold: 3/n holds only for the fold of an almost
+    orthogonal orbit of length n, so only a check that built one applies it.
+    """
+    return [
+        Check.at_most("unit_norm", abs(y.norm() - 1.0), UNIT_TOL),
+        Check.below("eigen_residual", (op.apply(y) - lam * y).norm(), 3.0 / n),
+    ]

@@ -37,31 +37,24 @@ from .errors import (
     UnsupportedModelError,
     WindowBudgetError,
 )
+from .certify import UNIT_TOL, Check, by_label, require
 from .moments import admissible_radius
 from .nrange import _resolve_power_tuple, _witness_circle_radius, we_membership_witness
-from .operators import DiagonalUnitary, MultiplicationGrid, power_forms
+from .operators import TWO_PI, DiagonalUnitary, MultiplicationGrid, power_forms
 from .spectra import approx_eigenvector_family, circle_in_pi_essential
 from .vectors import (
     BudgetMeter,
     WindowVector,
     add_scaled,
     combine,
+    cross_gram,
     gram,
-    inner,
     normalize,
+    vector_to_json,
 )
-
-TWO_PI = 2.0 * math.pi
 
 # measured orthogonality at or below this is reported as exact
 HARD_TOL = 1e-8
-
-
-def _check(measured, bound, strict=False):
-    measured = float(measured)
-    bound = float(bound)
-    passed = measured < bound if strict else measured <= bound
-    return {"measured": measured, "bound": bound, "strict": strict, "passed": bool(passed)}
 
 
 def _complex_list(arr):
@@ -73,8 +66,8 @@ class OrbitCertificate:
     """Recomputed orbit data for a unit vector under one generator.
 
     gram[a, b] = <T^a x, T^b x> for a, b < n; norms holds ||T^j x|| for
-    j = 0..n; recurrence is ||T^n x - x||.  checks maps inequality names to
-    {measured, bound, strict, passed} entries, all recomputed from x.
+    j = 0..n; recurrence is ||T^n x - x||.  checks maps labels to the
+    :class:`~orbitforge.certify.Check` lines, all recomputed from x.
     """
 
     x: WindowVector
@@ -87,24 +80,22 @@ class OrbitCertificate:
     params: dict = field(default_factory=dict)
 
     def passed(self):
-        return all(c["passed"] for c in self.checks.values())
+        return all(c.passed for c in self.checks.values())
 
     def worst_slack(self):
         return min(
-            (c["bound"] - c["measured"] for c in self.checks.values()),
+            (c.bound - c.measured for c in self.checks.values()),
             default=0.0,
         )
 
     def to_json(self):
-        from .vectors import vector_to_json
-
         return {
             "n": self.n,
             "eps": self.eps,
             "gram": [_complex_list(row) for row in self.gram],
             "norms": [float(v) for v in self.norms],
             "recurrence": self.recurrence,
-            "checks": self.checks,
+            "checks": {k: c.to_json() for k, c in self.checks.items()},
             "params": self.params,
             "x": vector_to_json(self.x, kind="orbit_vector"),
         }
@@ -135,11 +126,9 @@ class Tower:
         return len(self.w)
 
     def passed(self):
-        return all(c["passed"] for c in self.checks.values())
+        return all(c.passed for c in self.checks.values())
 
     def to_json(self):
-        from .vectors import vector_to_json
-
         return {
             "n": self.n,
             "eps": self.eps,
@@ -147,7 +136,7 @@ class Tower:
             "gram_defect": self.gram_defect,
             "mean_defect": self.mean_defect,
             "sum_defect": self.sum_defect,
-            "checks": self.checks,
+            "checks": {k: c.to_json() for k, c in self.checks.items()},
             "params": self.params,
             "u": None if self.u is None else vector_to_json(self.u, kind="tower_mean"),
             "w": [vector_to_json(v, kind="tower_level") for v in self.w],
@@ -165,19 +154,51 @@ def _orbit_data(base, x, n):
     return gram(orbit[:n]), norms, recurrence
 
 
-def _orbit_checks(gram, norms, recurrence, n, eps):
+def verify_orbit(base, x, n, eps):
+    """Certificate record (empty params) of the orbit statement for x.
+
+    Lines: orthogonality max_{1 <= j < n} |<T^j x, x>| <= 1e-8, off_diagonal
+    max_{a != b} |<T^a x, T^b x>| < eps, norm_window max_{1 <= j < n}
+    | ||T^j x|| - 1 | < eps, recurrence ||T^n x - x|| < eps.  The statement
+    is about a unit x: one off by more than UNIT_TOL raises NumericalError.
+    """
+    gram_, norms, recurrence = _orbit_data(base, x, n)
+    unit = abs(norms[0] - 1.0)
+    if not unit <= UNIT_TOL:
+        raise NumericalError(
+            f"orbit vector is not unit: | ||x|| - 1 | = {unit:.3e}",
+            residual=unit,
+            bound=UNIT_TOL,
+        )
     if n >= 2:
-        ortho = float(np.max(np.abs(gram[1:, 0])))
-        off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
-        norm_dev = float(np.max(np.abs(norms[1:n] - 1.0)))
+        ortho = np.max(np.abs(gram_[1:, 0]))
+        off = np.max(np.abs(gram_ - np.diag(np.diag(gram_))))
+        norm_dev = np.max(np.abs(norms[1:n] - 1.0))
     else:
         ortho = off = norm_dev = 0.0
-    return {
-        "orthogonality": _check(ortho, HARD_TOL),
-        "off_diagonal": _check(off, eps, strict=True),
-        "norm_window": _check(norm_dev, eps, strict=True),
-        "recurrence": _check(recurrence, eps, strict=True),
-    }
+    checks = by_label(
+        (
+            Check.at_most("orthogonality", ortho, HARD_TOL),
+            Check.below("off_diagonal", off, eps),
+            Check.below("norm_window", norm_dev, eps),
+            Check.below("recurrence", recurrence, eps),
+        )
+    )
+    return OrbitCertificate(
+        x=x, n=n, eps=eps, gram=gram_, norms=norms, recurrence=recurrence, checks=checks
+    )
+
+
+def verify_unitary_orbit(base, x, n, eps):
+    """orthogonality max_{a < b} |<T^a x, T^b x>| <= 1e-8, unit_norms
+    max_{j < n} | ||T^j x|| - 1 | <= UNIT_TOL, recurrence ||T^n x - x|| < eps."""
+    gram_, norms, recurrence = _orbit_data(base, x, n)
+    pairwise = np.max(np.triu(np.abs(gram_), 1), initial=0.0)
+    return [
+        Check.at_most("orthogonality", pairwise, HARD_TOL),
+        Check.at_most("unit_norms", np.max(np.abs(norms[:n] - 1.0)), UNIT_TOL),
+        Check.below("recurrence", recurrence, eps),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -361,24 +382,20 @@ def zero_tuple_vector(
         w = normalize(x)
 
     n_max = max(powers)
-    gram, norms, recurrence = _orbit_data(base, w, n_max)
-    final_forms = power_forms(base, powers, w)
+    gram_, norms, recurrence = _orbit_data(base, w, n_max)
     stage_dev = max(
         (abs(s["norm_sq"] - s["expected_norm_sq"]) for s in stages), default=0.0
     )
-    distance = (w - x_start).norm()
-    dist_bound = 3.0 * 2.0 ** (-start_stage / 2.0 - 1.0)
-    checks = {
-        "forms": _check(float(np.max(np.abs(final_forms))), tol),
-        "stage_norms": _check(stage_dev, 1e-10),
-        "distance": _check(distance, dist_bound),
-        "unit_norm": _check(abs(w.norm() - 1.0), 1e-12),
-    }
-    cert = OrbitCertificate(
+    checks = require(
+        verify_zeroing(base, powers, w, x_start, start_stage, tol)
+        + [Check.at_most("stage_norms", stage_dev, 1e-10)],
+        "zeroing certificate",
+    )
+    return OrbitCertificate(
         x=w,
         n=n_max,
         eps=tol,
-        gram=gram,
+        gram=gram_,
         norms=norms,
         recurrence=recurrence,
         checks=checks,
@@ -388,16 +405,22 @@ def zero_tuple_vector(
             "start_stage": start_stage,
             "stages": stages,
             "early_exit": early_exit,
-            "final_forms": _complex_list(final_forms),
+            "final_forms": _complex_list(power_forms(base, powers, w)),
             "entries_charged": meter.used,
         },
     )
-    if not cert.passed():
-        raise NumericalError(
-            "zeroing certificate failed its own recheck",
-            residual=float(np.max(np.abs(final_forms))),
-        )
-    return cert
+
+
+def verify_zeroing(base, powers, x, start, start_stage, tol):
+    """unit_norm | ||x|| - 1 | <= UNIT_TOL, forms max_p |<T^p x, x>| <= tol,
+    distance ||x - start|| <= 3 * 2^{-k/2 - 1} with k the start stage."""
+    return [
+        Check.at_most("unit_norm", abs(x.norm() - 1.0), UNIT_TOL),
+        Check.at_most("forms", np.max(np.abs(power_forms(base, powers, x))), tol),
+        Check.at_most(
+            "distance", (x - start).norm(), 3.0 * 2.0 ** (-start_stage / 2.0 - 1.0)
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -496,34 +519,20 @@ def almost_orthogonal_orbit(base, n, eps, window_budget=None):
             x = cert0.x
             correction_applied = True
 
-    gram, norms, recurrence = _orbit_data(base, x, n)
-    checks = _orbit_checks(gram, norms, recurrence, n, eps)
-    cert = OrbitCertificate(
-        x=x,
-        n=n,
-        eps=eps,
-        gram=gram,
-        norms=norms,
-        recurrence=recurrence,
-        checks=checks,
-        params={
-            "model": base.kind,
-            "spectral_route": route,
-            "window_length": m,
-            "proof_window_length": m_proof,
-            "budget_limited": budget_limited,
-            "epsilon_prime": eps_prime,
-            "family_residuals": [p.residual for p in family],
-            "correction_stage_threshold": c_min,
-            "correction_applied": correction_applied,
-            "entries_charged": meter.used,
-        },
-    )
-    if not cert.passed():
-        worst = max(c["measured"] - c["bound"] for c in checks.values())
-        raise NumericalError(
-            "orbit certificate failed its own recheck", residual=float(worst)
-        )
+    cert = verify_orbit(base, x, n, eps)
+    cert.params = {
+        "model": base.kind,
+        "spectral_route": route,
+        "window_length": m,
+        "proof_window_length": m_proof,
+        "budget_limited": budget_limited,
+        "epsilon_prime": eps_prime,
+        "family_residuals": [p.residual for p in family],
+        "correction_stage_threshold": c_min,
+        "correction_applied": correction_applied,
+        "entries_charged": meter.used,
+    }
+    require(cert.checks.values(), "orbit certificate")
     return cert
 
 
@@ -540,8 +549,8 @@ def _power_entry(base, p):
 def _assemble_dft_tower(u, family, n):
     """Stack u and the family into rows of the unitary DFT mix.
 
-    Returns (indices, V) where row j of V holds the values of
-    w_j = n^{-1/2} sum_k lambda^{jk} u_k on the shared index set.  Root
+    Returns the levels w_j = n^{-1/2} sum_k lambda^{jk} u_k, the rows of V
+    on the shared index set.  Root
     phases are reduced mod n in integers, so the DFT inversion identity
     sum_j w_j = sqrt(n) u_0 suffers no phase drift.
     """
@@ -562,7 +571,7 @@ def _assemble_dft_tower(u, family, n):
         coef = roots[(np.arange(n) * k) % n] * scale
         V[:, cols] = np.outer(coef, b.values)
         offset += len(b.indices)
-    return idx, V
+    return [WindowVector(idx, row) for row in V]
 
 
 def rokhlin_tower(base, n, eps, u=None, window_budget=None):
@@ -643,24 +652,47 @@ def rokhlin_tower(base, n, eps, u=None, window_budget=None):
         base, roots[1:], m, margin=2, constraints=[u], meter=meter
     )
     meter.charge(n * (u_len + sum(len(p.vector.indices) for p in family)))
-    idx, V = _assemble_dft_tower(u, family, n)
-    V.setflags(write=False)
-    w = [WindowVector(idx, np.array(V[j])) for j in range(n)]
-
-    gram = V @ V.conj().T
-    gram_defect = float(np.max(np.abs(gram - np.eye(n))))
-    mean_vec = WindowVector(idx, V.sum(axis=0) / math.sqrt(n))
-    mean_defect = (mean_vec - u).norm()
-    links = np.empty(n)
-    for j in range(n):
-        links[j] = (base.apply(w[j]) - w[(j + 1) % n]).norm()
-    checks = {
-        "gram_identity": _check(gram_defect, 1e-10),
-        "mean_identity": _check(mean_defect, 1e-12),
-        "links": _check(float(np.max(links)), eps, strict=True),
+    w = _assemble_dft_tower(u, family, n)
+    tower = verify_rokhlin_tower(base, w, u, eps)
+    tower.params = {
+        "model": base.kind,
+        "spectral_route": route,
+        "window_length": m,
+        "proof_window_length": m_proof,
+        "budget_limited": budget_limited,
+        "epsilon_prime": eps_prime,
+        "epsilon_prime_supremum": eps_prime_sup,
+        "minimal_n": int(math.floor(threshold)) + 1,
+        "mean_link_defect": tu_defect,
+        "family_residuals": [p.residual for p in family],
+        "entries_charged": meter.used,
     }
-    tower = Tower(
-        w=w,
+    require(tower.checks.values(), "tower certificate")
+    return tower
+
+
+def _links(base, w):
+    n = len(w)
+    return np.array([(base.apply(w[j]) - w[(j + 1) % n]).norm() for j in range(n)])
+
+
+def verify_rokhlin_tower(base, w, u, eps):
+    """Tower record (empty params) with gram_identity max |Gram(w) - I| <=
+    1e-10, mean_identity ||n^{-1/2} sum_j w_j - u|| <= 1e-12 and links
+    max_j ||T w_j - w_{j+1}|| < eps over the cyclic links (w_n = w_0)."""
+    n = len(w)
+    gram_defect = float(np.max(np.abs(gram(w) - np.eye(n))))
+    mean_defect = (combine((1, v) for v in w) * (1.0 / math.sqrt(n)) - u).norm()
+    links = _links(base, w)
+    checks = by_label(
+        (
+            Check.at_most("gram_identity", gram_defect, 1e-10),
+            Check.at_most("mean_identity", mean_defect, 1e-12),
+            Check.below("links", np.max(links), eps),
+        )
+    )
+    return Tower(
+        w=list(w),
         u=u,
         eps=eps,
         link_residuals=links,
@@ -668,23 +700,7 @@ def rokhlin_tower(base, n, eps, u=None, window_budget=None):
         mean_defect=mean_defect,
         sum_defect=None,
         checks=checks,
-        params={
-            "model": base.kind,
-            "spectral_route": route,
-            "window_length": m,
-            "proof_window_length": m_proof,
-            "budget_limited": budget_limited,
-            "epsilon_prime": eps_prime,
-            "epsilon_prime_supremum": eps_prime_sup,
-            "minimal_n": int(math.floor(threshold)) + 1,
-            "mean_link_defect": tu_defect,
-            "family_residuals": [p.residual for p in family],
-            "entries_charged": meter.used,
-        },
     )
-    if not tower.passed():
-        raise NumericalError("tower certificate failed its own recheck")
-    return tower
 
 
 def _snap_classes(n_nodes, n):
@@ -735,36 +751,26 @@ def rotation_tower(grid, n, w0=None, window_budget=None):
         factors = roots[(j * cls) % n]
         w.append(WindowVector(w0.indices, w0.values * factors))
 
-    links = np.empty(n)
-    for j in range(n):
-        links[j] = (grid.apply(w[j]) - w[(j + 1) % n]).norm()
+    links = _links(grid, w)
     total = combine((1, v) for v in w)
     sum_defect = float(np.max(np.abs(total.values))) if len(total.values) else 0.0
     norm_dev = max(abs(v.norm() - 1.0) for v in w)
 
-    # Gram via class weights; the w_j are NOT near-orthogonal here (the
-    # forbidden zero class unbalances the arcs), so this is informational
-    weights = np.zeros(n)
-    np.add.at(weights, cls, np.abs(w0.values) ** 2)
-    gram_row = np.array(
-        [np.sum(weights * roots[(d * np.arange(n)) % n]) for d in range(n)]
-    )
-    gram_defect = float(np.max(np.abs(gram_row[1:])))
-    for d in (1, n // 2, n - 1):
-        direct = inner(w[d], w[0])
-        if abs(direct - gram_row[d]) > 1e-10:
-            raise NumericalError(
-                "class-weight Gram disagrees with the raw vectors",
-                residual=abs(direct - gram_row[d]),
-            )
+    # the w_j are NOT near-orthogonal here (the forbidden zero class
+    # unbalances the arcs), so the Gram defect is informational; the Gram
+    # is circulant, so its first column holds every off-diagonal value
+    gram_defect = float(np.max(np.abs(cross_gram(w[1:], w[:1]))))
 
     link_bound = TWO_PI / n
-    checks = {
-        "zero_sum": _check(sum_defect, 1e-12),
-        "links": _check(float(np.max(links)), link_bound),
-        "unit_norms": _check(norm_dev, 1e-12),
-    }
-    tower = Tower(
+    checks = require(
+        (
+            Check.at_most("zero_sum", sum_defect, 1e-12),
+            Check.at_most("links", np.max(links), link_bound),
+            Check.at_most("unit_norms", norm_dev, UNIT_TOL),
+        ),
+        "rotation tower",
+    )
+    return Tower(
         w=w,
         u=None,
         eps=link_bound,
@@ -780,6 +786,3 @@ def rotation_tower(grid, n, w0=None, window_budget=None):
             "entries_charged": meter.used,
         },
     )
-    if not tower.passed():
-        raise NumericalError("rotation tower failed its own recheck")
-    return tower

@@ -95,11 +95,11 @@ def test_criterion_3_orbit_certificate_with_budget():
     cert = almost_orthogonal_orbit(BilateralShift(), 8, 0.1, window_budget=10 ** 6)
     assert cert.passed()
     slacks = {
-        name: chk["bound"] - chk["measured"] for name, chk in cert.checks.items()
+        name: chk.bound - chk.measured for name, chk in cert.checks.items()
     }
     assert set(slacks) == {"orthogonality", "off_diagonal", "norm_window", "recurrence"}
     assert all(s >= 0.0 for s in slacks.values())
-    assert cert.checks["orthogonality"]["measured"] <= 1e-8
+    assert cert.checks["orthogonality"].measured <= 1e-8
     assert cert.params["entries_charged"] <= 10 ** 6
     slack_text = " ".join(f"{k}={v:.2e}" for k, v in sorted(slacks.items()))
     _report(3, f"orbit n=8 eps=0.1 within 1e6 entries; slack {slack_text}", t0, 60)

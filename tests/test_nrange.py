@@ -573,3 +573,10 @@ def test_witness_and_compression_refuse_non_finite_input():
     for lam in (complex("nan"), complex("inf"), 1e200):
         with pytest.raises(DegenerateInputError):
             diagonal_compression_subspace(s, lam, 3)
+
+
+@pytest.mark.parametrize("mu", [[1e200, 0.0], [1e155, 0.0], [1e120, 1e240, 0.0]])
+def test_witness_refuses_targets_whose_power_profile_overflows(mu):
+    # the power-profile test forms lam^p, which overflows float64 here
+    with pytest.raises(DegenerateInputError, match="overflows"):
+        we_membership_witness(BilateralShift(), mu, 0.1)

@@ -128,7 +128,7 @@ def test_zero_tuple_vector_certificate():
     forms = raw_forms(BilateralShift(), w, range(1, 5))
     assert np.max(np.abs(forms)) <= 1e-8
     assert cert.passed()
-    assert cert.checks["distance"]["bound"] == pytest.approx(1.5)
+    assert cert.checks["distance"].bound == pytest.approx(1.5)
     for rec in cert.params["stages"]:
         assert abs(rec["norm_sq"] - rec["expected_norm_sq"]) <= 1e-10
 
@@ -162,7 +162,7 @@ def test_zero_tuple_vector_ladder_start():
     cert = zero_tuple_vector(shift_tuple(3), start=start, start_stage=2)
     assert cert.passed()
     assert (cert.x - start).norm() <= 3.0 * 2.0 ** (-2.0 ** 0 - 0.5) + 1e-12
-    assert cert.checks["distance"]["bound"] == pytest.approx(3.0 * 2.0 ** (-2.0))
+    assert cert.checks["distance"].bound == pytest.approx(3.0 * 2.0 ** (-2.0))
 
 
 def test_zeroing_rejects_dense_models():
@@ -219,8 +219,8 @@ def test_orbit_certificate_diagonal():
     cert = almost_orthogonal_orbit(op, 8, 0.05)
     assert cert.passed()
     # basis atoms: norms are exact and the recurrence is far below eps
-    assert cert.checks["norm_window"]["measured"] <= 1e-12
-    assert cert.checks["recurrence"]["measured"] <= 1e-6
+    assert cert.checks["norm_window"].measured <= 1e-12
+    assert cert.checks["recurrence"].measured <= 1e-6
     _recheck_orbit(op, cert)
 
 
@@ -228,8 +228,8 @@ def test_orbit_scaling_coherence():
     # every slack measured at eps/2 must in particular satisfy the eps bound
     tight = almost_orthogonal_orbit(BilateralShift(), 4, 0.05)
     for name, entry in tight.checks.items():
-        loose_bound = 0.1 if name != "orthogonality" else entry["bound"]
-        assert entry["measured"] < loose_bound
+        loose_bound = 0.1 if name != "orthogonality" else entry.bound
+        assert entry.measured < loose_bound
 
 
 def test_orbit_budget_and_validation():
@@ -250,7 +250,7 @@ def test_orbit_window_policy_recorded():
     assert cert.params["window_length"] == 6400
     assert cert.params["proof_window_length"] >= cert.params["window_length"]
     assert cert.params["entries_charged"] <= 10**6
-    assert cert.checks["recurrence"]["measured"] == pytest.approx(
+    assert cert.checks["recurrence"].measured == pytest.approx(
         math.sqrt(2.0 * 8 / 6400), rel=1e-9
     )
 
@@ -268,8 +268,8 @@ def _recheck_tower_links(base, tower):
 def test_rokhlin_tower_bilateral():
     tower = rokhlin_tower(BilateralShift(), 65, 0.25)
     assert tower.passed()
-    assert tower.checks["gram_identity"]["measured"] <= 1e-10
-    assert tower.checks["mean_identity"]["measured"] <= 1e-12
+    assert tower.checks["gram_identity"].measured <= 1e-10
+    assert tower.checks["mean_identity"].measured <= 1e-12
     assert float(np.max(tower.link_residuals)) < 0.25
     _recheck_tower_links(BilateralShift(), tower)
     # mean identity against the raw vectors
