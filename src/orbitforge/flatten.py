@@ -170,14 +170,22 @@ def weak_decay_probe(op, probe_vectors, horizon):
     for v in probes:
         if abs(v.norm() - 1.0) > 1e-9:
             raise DegenerateInputError("probe vectors must be unit")
+    nb = float(op.norm_bound())
+    try:
+        power_bound = nb ** horizon if nb > 1 else 1.0
+    except OverflowError:
+        power_bound = math.inf
+    if not math.isfinite(power_bound):
+        raise NumericalError(
+            f"power bound overflows float64: norm bound ||T|| <= {nb!r} "
+            f"raised to the horizon {horizon}"
+        )
     values = np.zeros(horizon + 1)
     orbits = list(probes)
     for n in range(horizon + 1):
         values[n] = np.max(np.abs(cross_gram(orbits, probes)))
         if n < horizon:
             orbits = [op.apply(a) for a in orbits]
-    nb = op.norm_bound()
-    power_bound = float(nb ** horizon) if nb > 1 else 1.0
     beyond = None
     if _banded(op):
         beyond = max(

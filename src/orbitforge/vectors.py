@@ -11,13 +11,16 @@ representation is load-bearing and not an optimization.
 Inner products are linear in the FIRST slot: ``inner(u, v) = sum u_i *
 conj(v_i)``.  All stored arrays are frozen (``writeable=False``).
 
-The kernel never sorts.  ``inner`` answers disjoint index ranges and equal
-supports at once and ``add_scaled`` concatenates disjoint ranges; otherwise
-both look one support up in the other with ``searchsorted``.  Every Gram and
-compression matrix goes through :func:`cross_gram`: a family whose joint
-index span is at most twice its largest support is scattered into dense
-column blocks, one BLAS product each; a sparser family falls back to
-pairwise ``inner``.  Every sum of more than two vectors goes through
+``inner`` answers disjoint index ranges and equal supports at once;
+otherwise it merges the two supports, cut to each other's range, with one
+stable in-place sort of their concatenation, a linear two-run merge, and
+looks up only the shared indices.  ``add_scaled`` concatenates disjoint
+ranges and otherwise looks one support up in the other with
+``searchsorted``.  Every Gram and compression matrix goes through
+:func:`cross_gram`: a family whose joint index span is at most twice its
+largest support is scattered into dense column blocks, one BLAS product each
+(a Gram scatters each block once); a sparser family falls back to pairwise
+``inner``.  Every sum of more than two vectors goes through
 :func:`combine`: when the joint index span is at most twice the summed
 support, all terms are added in order into one dense accumulator that
 starts at -0.0 (so a lone term keeps its bits); a sparser sum is a left
@@ -325,14 +328,17 @@ def combine(terms):
 
 
 def _shared(a, b):
-    """Selectors (of a, of b) of the indices two sorted arrays share, by a
-    ``searchsorted`` of the shorter array into the longer."""
-    if len(a) > len(b):
-        sel_b, sel_a = _shared(b, a)
-        return sel_a, sel_b
-    pos = np.searchsorted(b, a)
-    hit = b[np.minimum(pos, len(b) - 1)] == a
-    return hit, pos[hit]
+    """Ascending positions (in a, in b) of the indices two sorted arrays share.
+
+    The concatenation is sorted in place (a sorted copy would hold a second
+    full-size array) by numpy's stable sort, timsort for int64, which finds
+    the two ascending runs and merges them in one linear pass; a shared index
+    shows up as two equal neighbours.  Only the shared indices are then
+    looked up in each array."""
+    merged = np.concatenate([a, b])
+    merged.sort(kind="stable")
+    common = merged[np.flatnonzero(merged[1:] == merged[:-1])]
+    return np.searchsorted(a, common), np.searchsorted(b, common)
 
 
 def inner(u, v):
@@ -340,7 +346,7 @@ def inner(u, v):
 
     Disjoint index ranges give 0j at once and equal supports one direct sum.
     Otherwise each support is cut to the other's index range before the
-    lookup of :func:`_shared`.  Terms are summed in increasing index order.
+    merge of :func:`_shared`.  Terms are summed in increasing index order.
     """
     a, b = u.indices, v.indices
     if len(a) == 0 or len(b) == 0 or a[-1] < b[0] or b[-1] < a[0]:
@@ -373,10 +379,14 @@ def cross_gram(us, vs):
 
     When the joint index span is at most twice the largest support the
     vectors are scattered into dense blocks of a few MB each, the right block
-    conjugated in place, and G accumulates one BLAS product per block;
-    otherwise G is filled with pairwise :func:`inner`.
+    conjugated in place, and G accumulates one BLAS product per block; when
+    both families are one object (as :func:`gram` passes them) each block is
+    scattered once and its conjugate is the right block.  Otherwise G is
+    filled with pairwise :func:`inner`.
     """
-    us, vs = list(us), list(vs)
+    same = us is vs
+    us = list(us)
+    vs = us if same else list(vs)
     out = np.zeros((len(us), len(vs)), np.complex128)
     supports = [v.indices for v in us + vs if len(v)]
     if not supports:
@@ -388,9 +398,11 @@ def cross_gram(us, vs):
         step = max(1, _BLOCK_ENTRIES // max(len(us), len(vs)))
         for start in range(lo, lo + span, step):
             width = min(step, lo + span - start)
-            right = _dense_block(vs, start, width)
-            # conjugated in place; .T is a view BLAS reads as a transpose
-            out += _dense_block(us, start, width) @ np.conj(right, out=right).T
+            left = _dense_block(us, start, width)
+            right = left if same else _dense_block(vs, start, width)
+            # conjugated in place unless it is the left block; .T is a view
+            # BLAS reads as a transpose
+            out += left @ np.conj(right, out=None if same else right).T
         return out
     for i, u in enumerate(us):
         for j, v in enumerate(vs):

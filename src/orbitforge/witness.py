@@ -673,7 +673,9 @@ def rokhlin_tower(base, n, eps, u=None, window_budget=None):
 
 def _links(base, w):
     n = len(w)
-    return np.array([(base.apply(w[j]) - w[(j + 1) % n]).norm() for j in range(n)])
+    return np.array(
+        [combine(((1, base.apply(w[j])), (-1, w[(j + 1) % n]))).norm() for j in range(n)]
+    )
 
 
 def verify_rokhlin_tower(base, w, u, eps):

@@ -1,6 +1,7 @@
 """Flat vectors and subspaces: Sidon combinatorics checked against brute force."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +135,16 @@ def test_probe_validates_inputs():
         weak_decay_probe(BilateralShift(), [], 4)
     with pytest.raises(DegenerateInputError):
         weak_decay_probe(BilateralShift(), [2.0 * WindowVector.basis(0)], 4)
+
+
+def test_probe_refuses_an_overflowing_power_bound():
+    op = DenseOperator(2 * np.eye(2))
+    with warnings.catch_warnings():
+        # the refusal comes before any power is applied
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"2\.0 raised to the horizon 1100"):
+            weak_decay_probe(op, [WindowVector.basis(0)], 1100)
+    assert weak_decay_probe(op, [WindowVector.basis(0)], 1000).power_bound == 2.0 ** 1000
 
 
 # -- flat vectors -------------------------------------------------------------------

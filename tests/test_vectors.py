@@ -253,6 +253,72 @@ def test_inner_matches_dict_reference(pair):
     assert abs(inner(u, v) - exact_inner(u, v)) <= 1e-15 * u.norm() * v.norm()
 
 
+def bits(z):
+    return np.complex128(z).tobytes()
+
+
+def inner_by_intersect(u, v):
+    """Shared-index sum through ``np.intersect1d``, in increasing index order."""
+    _, pa, pb = np.intersect1d(u.indices, v.indices, assume_unique=True, return_indices=True)
+    return complex(np.sum(u.values[pa] * np.conj(v.values[pb])))
+
+
+@st.composite
+def merge_cases(draw):
+    """(u, v) whose supports are disjoint, nested inside a gap of the other
+    (the range cut leaves one side empty), interleaved, equal in distinct
+    arrays or contiguous runs."""
+    drawn = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=16))
+    base = np.unique(np.array(drawn, np.int64))
+    relation = draw(
+        st.sampled_from(("disjoint", "nested", "interleaved", "equal", "contiguous"))
+    )
+    if relation == "disjoint":
+        gaps = draw(st.lists(st.integers(0, 40), min_size=1))
+        other = base[-1] + 1 + np.unique(np.array(gaps, np.int64))
+    elif relation == "nested":
+        base = np.concatenate([base[:1] - 100, base])
+        inside = base[0] + 1 + np.arange(draw(st.integers(1, 99)), dtype=np.int64)
+        other = np.setdiff1d(inside, base)
+    elif relation == "interleaved":
+        lo = draw(st.integers(-40, 40))
+        both = lo + 2 * np.arange(draw(st.integers(1, 20)), dtype=np.int64)
+        base, other = both, np.union1d(both[:: draw(st.integers(2, 4))], both + 1)
+    elif relation == "equal":
+        other = base.copy()
+    else:
+        lo = draw(st.integers(-40, 40))
+        base = np.arange(lo, lo + draw(st.integers(1, 30)), dtype=np.int64)
+        start = lo + draw(st.integers(-30, 30))
+        other = np.arange(start, start + draw(st.integers(1, 30)), dtype=np.int64)
+    return draw(st.permutations([on(draw, base), on(draw, other)]))
+
+
+@given(st.one_of(merge_cases(), support_pairs()))
+def test_inner_bit_identical_to_intersect1d(pair):
+    u, v = pair
+    assert bits(inner(u, v)) == bits(inner_by_intersect(u, v))
+    _, pa, pb = np.intersect1d(u.indices, v.indices, assume_unique=True, return_indices=True)
+    sel_u, sel_v = vectors._shared(u.indices, v.indices)
+    assert sel_u.tolist() == pa.tolist() and sel_v.tolist() == pb.tolist()
+
+
+def test_inner_sidon_translates_share_at_most_one_index():
+    from orbitforge.flatten import sidon_set
+
+    rng = np.random.default_rng(11)
+    atoms = sidon_set(2 ** 16)
+    u = WindowVector(atoms, rng.normal(size=len(atoms)) + 1j * rng.normal(size=len(atoms)))
+    # a difference of two atoms lines up exactly one pair; shifts below the
+    # prime 65537 of the construction line up none
+    differences = (int(atoms[40_000] - atoms[123]), int(atoms[1] - atoms[0]))
+    for shift, shared in [(d, 1) for d in differences] + [(1, 0), (12_345, 0)]:
+        v = u.translate(shift)
+        assert len(np.intersect1d(u.indices, v.indices, assume_unique=True)) == shared
+        for a, b in ((u, v), (v, u)):
+            assert bits(inner(a, b)) == bits(inner_by_intersect(a, b))
+
+
 def pairwise(us, vs):
     return np.array([[inner(u, v) for v in vs] for u in us], np.complex128).reshape(
         len(us), len(vs)
@@ -317,6 +383,21 @@ def test_cross_gram_blocks_a_long_shift_orbit():
     assert within_rounding(g, orbit, orbit, tol=2 * gamma)
     assert cross_gram([], orbit).shape == (0, 17)
     assert cross_gram(orbit, [WindowVector.zero()]).tolist() == [[0j]] * 17
+
+
+def test_gram_scatters_each_block_once():
+    # four rows over more than one block of _BLOCK_ENTRIES // 4 columns
+    rng = np.random.default_rng(8)
+    m = vectors._BLOCK_ENTRIES // 4 + 5_000
+    x = WindowVector(np.arange(m, dtype=np.int64), rng.normal(size=m) + 1j * rng.normal(size=m))
+    family = [x, x.translate(3), x.translate(700).restrict(lambda idx: idx % 3 != 0), x * 1j]
+    with mock.patch.object(vectors, "_dense_block", wraps=vectors._dense_block) as scatter, \
+            mock.patch.object(vectors, "inner", side_effect=AssertionError("sparse path taken")):
+        g = gram(family)
+        once = scatter.call_count
+        c = cross_gram(list(family), list(family))
+    assert once == 2 and scatter.call_count == 3 * once
+    assert g.tobytes() == c.tobytes()
 
 
 def add_scaled_by_sort(u, v, alpha, beta):

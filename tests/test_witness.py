@@ -279,6 +279,28 @@ def test_rokhlin_tower_bilateral():
     assert (mean * (1.0 / math.sqrt(65)) - tower.u).norm() <= 1e-12
 
 
+def _links_by_subtraction(base, w):
+    n = len(w)
+    return np.array([(base.apply(w[j]) - w[(j + 1) % n]).norm() for j in range(n)])
+
+
+def test_links_bit_identical_to_subtraction():
+    rng = np.random.default_rng(5)
+    x = WindowVector(np.arange(12, dtype=np.int64), rng.normal(size=12) + 1j * rng.normal(size=12))
+    # T w_0 - w_1 cancels exactly except at index 4, T w_3 - w_4 cancels
+    # entirely, and the far-apart w_2 takes the sparse path of the sum
+    nudged = x.translate(1).scale_by(lambda idx: np.where(idx == 4, 1 + 2.0 ** -40, 1.0))
+    far = WindowVector([-50, 3, 90], [0.5, -0.25j, 1.0])
+    w = [x, nudged, far, x.translate(1), x.translate(2)]
+    links = witness._links(BilateralShift(), w)
+    assert links[3] == 0.0 and 0.0 < links[0] < 1e-10
+    for base in (BilateralShift(), DiagonalUnitary(QuadraticIrrationalRotation(2))):
+        assert witness._links(base, w).tobytes() == _links_by_subtraction(base, w).tobytes()
+    tower = rokhlin_tower(BilateralShift(), 17, 0.5)
+    got = witness._links(BilateralShift(), tower.w)
+    assert got.tobytes() == _links_by_subtraction(BilateralShift(), tower.w).tobytes()
+
+
 def test_rokhlin_tower_refuses_below_threshold():
     with pytest.raises(PreconditionError) as exc:
         rokhlin_tower(BilateralShift(), 64, 0.25)
