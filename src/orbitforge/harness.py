@@ -180,6 +180,18 @@ def check_from_json(obj):
     )
 
 
+def _param(params, key, default, read):
+    """read(params[key]), or read(default) when the key is absent; a value
+    that ``read`` cannot take is refused with its key."""
+    value = params.get(key, default)
+    try:
+        return read(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DegenerateInputError(
+            f"cannot read suite parameter {key!r} = {value!r}: {exc}"
+        ) from None
+
+
 def _complex_param(value):
     z = complex(value[0], value[1]) if isinstance(value, (list, tuple)) else complex(value)
     return z, [z.real, z.imag]
@@ -187,7 +199,7 @@ def _complex_param(value):
 
 def _model(params, default):
     """(operator, window budget, their normalized params) of a model suite."""
-    op = build_model(params.get("model", default))
+    op = _param(params, "model", default, build_model)
     budget = params.get("window_budget")
     return op, budget, {"model": op.to_json(), "window_budget": budget}
 
@@ -197,7 +209,7 @@ def _model(params, default):
 
 def _check_orbit_certificate(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
-    n, eps = int(params.get("n", 8)), float(params.get("eps", 0.1))
+    n, eps = _param(params, "n", 8, int), _param(params, "eps", 0.1, float)
     cert = almost_orthogonal_orbit(op, n, eps, window_budget=budget)
     lines = verify_orbit(op, cert.x, n, eps).checks.values()
     return dict(norm, n=n, eps=eps), list(lines)
@@ -205,9 +217,10 @@ def _check_orbit_certificate(params, seed):
 
 def _check_orbit_reverse_eigenvector(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
-    n = int(params.get("n", 8))
-    eps = float(params.get("eps", 1.0 / n))
-    lam, lam_json = _complex_param(params.get("lam", 1.0))
+    n = _param(params, "n", 8, int)
+    # n < 1 is refused by the builder, not by a ZeroDivisionError here
+    eps = _param(params, "eps", 1.0 / max(n, 1), float)
+    lam, lam_json = _param(params, "lam", 1.0, _complex_param)
     cert = almost_orthogonal_orbit(op, n, eps, window_budget=budget)
     pair = orbit_to_approx_eigenvector(op, cert.x, lam, n)
     lines = verify_eigenpair(op, pair.vector, lam, n)
@@ -216,14 +229,14 @@ def _check_orbit_reverse_eigenvector(params, seed):
 
 def _check_unitary_orthogonal_orbit(params, seed):
     op, budget, norm = _model(params, "diagonal-qi:2")
-    n, eps = int(params.get("n", 8)), float(params.get("eps", 0.1))
+    n, eps = _param(params, "n", 8, int), _param(params, "eps", 0.1, float)
     cert = almost_orthogonal_orbit(op, n, eps, window_budget=budget)
     return dict(norm, n=n, eps=eps), verify_unitary_orbit(op, cert.x, n, eps)
 
 
 def _check_rokhlin_tower(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
-    n, eps = int(params.get("n", 65)), float(params.get("eps", 0.25))
+    n, eps = _param(params, "n", 65, int), _param(params, "eps", 0.25, float)
     tower = rokhlin_tower(op, n, eps, window_budget=budget)
     lines = verify_rokhlin_tower(op, tower.w, tower.u, eps).checks.values()
     return dict(norm, n=n, eps=eps), list(lines)
@@ -231,7 +244,7 @@ def _check_rokhlin_tower(params, seed):
 
 def _check_flat_subspace(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
-    eps, d = float(params.get("eps", 0.25)), int(params.get("d", 3))
+    eps, d = _param(params, "eps", 0.25, float), _param(params, "d", 3, int)
     sub, _report = flat_subspace(op, eps, d, window_budget=budget, rng=seed)
     lines, _measured = verify_flat_subspace(op, sub.basis, eps, rng=seed)
     return dict(norm, eps=eps, d=d), lines
@@ -239,8 +252,8 @@ def _check_flat_subspace(params, seed):
 
 def _check_tuple_zeroing(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
-    powers = [int(p) for p in params.get("powers", [1, 2, 3, 4])]
-    tol = float(params.get("tol", 1e-8))
+    powers = _param(params, "powers", [1, 2, 3, 4], lambda ps: [int(p) for p in ps])
+    tol = _param(params, "tol", 1e-8, float)
     ops = tuple(OperatorPower(op, p) for p in powers)
     cert = zero_tuple_vector(ops, tol=tol, window_budget=budget)
     lines = verify_zeroing(op, powers, cert.x, WindowVector.zero(), 0, tol)
@@ -249,9 +262,9 @@ def _check_tuple_zeroing(params, seed):
 
 def _check_diagonal_compression(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
-    lam, lam_json = _complex_param(params.get("lam", [0.4, 0.1]))
-    n, dim = int(params.get("n", 3)), int(params.get("dim", 2))
-    delta = float(params.get("delta", 0.05))
+    lam, lam_json = _param(params, "lam", [0.4, 0.1], _complex_param)
+    n, dim = _param(params, "n", 3, int), _param(params, "dim", 2, int)
+    delta = _param(params, "delta", 0.05, float)
     res = diagonal_compression_subspace(
         op, lam, n, dim=dim, delta=delta, window_budget=budget
     )
@@ -261,25 +274,18 @@ def _check_diagonal_compression(params, seed):
 
 def _check_moment_exact(params, seed):
     mode = str(params.get("mode", "exact"))
-    rho = params.get("rho", 1)
-    targets = params.get("eps", ["0", "1/100", "0", "1/200", "0", "1/500"])
-    if mode == "exact":
-        eps = [Fraction(str(t)) for t in targets]
-        rho_v = Fraction(str(rho))
-        norm_targets = [str(t) for t in eps]
-    else:
-        eps = [
-            complex(t[0], t[1]) if isinstance(t, (list, tuple)) else complex(t)
-            for t in targets
-        ]
-        rho_v = float(rho)
-        norm_targets = [[z.real, z.imag] for z in eps]
-    res = circle_moment_match(eps, rho=rho_v, mode=mode)
+    exact = mode == "exact"
+    number = (lambda t: Fraction(str(t))) if exact else (lambda t: _complex_param(t)[0])
+    rho = _param(params, "rho", 1, number if exact else float)
+    targets = ["0", "1/100", "0", "1/200", "0", "1/500"]
+    eps = _param(params, "eps", targets, lambda ts: [number(t) for t in ts])
+    res = circle_moment_match(eps, rho=rho, mode=mode)
     lines = verify_moment_match(
         res.measure, [complex(t) for t in eps], mode, res.exact_certificate
     )
-    norm_rho = str(rho_v) if mode == "exact" else rho_v
-    return {"mode": mode, "rho": norm_rho, "eps": norm_targets}, lines
+    if exact:
+        return {"mode": mode, "rho": str(rho), "eps": [str(t) for t in eps]}, lines
+    return {"mode": mode, "rho": rho, "eps": [[z.real, z.imag] for z in eps]}, lines
 
 
 _SUITES = {

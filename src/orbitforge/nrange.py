@@ -60,7 +60,7 @@ from .operators import (
     compress,
     power_forms,
 )
-from .spectra import circle_in_pi_essential, shift_eigen_window
+from .spectra import _constraint_indices, circle_in_pi_essential, shift_eigen_window
 from .vectors import BudgetMeter, WindowVector, combine, gram, inner, normalize
 
 
@@ -409,9 +409,7 @@ def _realize_on_shift(base, measure, powers, delta, constraints, meter):
 
 def _realize_on_diagonal(base, measure, powers, delta, constraints, meter):
     p_max = max(powers)
-    used = set()
-    for c in constraints:
-        used.update(int(i) for i in c.indices)
+    used = _constraint_indices(constraints)
     tol_turn = delta / (4.0 * p_max * TWO_PI)
     rule = base.phase_rule
     meter.charge(len(measure.weights))

@@ -661,19 +661,16 @@ class Subspace:
 
     @classmethod
     def span(cls, vectors, tol=1e-8):
-        basis = []
+        space = cls(())
         for v in vectors:
             scale = v.norm()
             if scale == 0.0:
                 continue
-            w = v
-            for _ in range(2):
-                for b in basis:
-                    w = w - inner(w, b) * b
+            w = space.complement_part(v)
             n = w.norm()
             if n > tol * scale:
-                basis.append(w * (1.0 / n))
-        return cls(basis)
+                space.basis += (w * (1.0 / n),)
+        return space
 
     @property
     def dim(self):

@@ -14,21 +14,20 @@ conj(v_i)``.  All stored arrays are frozen (``writeable=False``).
 ``inner`` answers disjoint index ranges and equal supports at once;
 otherwise it merges the two supports, cut to each other's range, with one
 stable in-place sort of their concatenation, a linear two-run merge, and
-looks up only the shared indices.  ``add_scaled`` concatenates disjoint
-ranges and otherwise looks one support up in the other with
-``searchsorted``.  Every Gram and compression matrix goes through
-:func:`cross_gram`: a family whose joint index span is at most twice its
-largest support is scattered into dense column blocks, one BLAS product each
-(a Gram scatters each block once); a sparser family falls back to pairwise
-``inner``.  Every sum of more than two vectors goes through
-:func:`combine`: when the joint index span is at most twice the summed
-support, all terms are added in order into one dense accumulator that
-starts at -0.0 (so a lone term keeps its bits); a sparser sum is a left
-fold of ``add_scaled``.
+looks up only the shared indices.  Every Gram and compression matrix goes
+through :func:`cross_gram`: a family whose joint index span is at most twice
+its largest support is scattered into dense column blocks, one BLAS product
+each (a Gram scatters each block once); a sparser family falls back to
+pairwise ``inner``.  Every vector sum, two-term ``add_scaled`` included, goes
+through :func:`combine`: the terms are added in order into one accumulator
+that starts at -0.0, on the joint index span when that is at most twice the
+summed support, else on the distinct indices of the same merge ``inner``
+uses.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 
 import numpy as np
@@ -54,14 +53,19 @@ def _as_indices(indices):
 
 
 def window_budget(override=None):
-    """Resolve the stored-entry budget: explicit override, else env var, else default."""
-    if override is not None:
-        budget = int(override)
-    else:
-        raw = os.environ.get(WINDOW_BUDGET_ENV)
-        budget = int(raw) if raw else DEFAULT_WINDOW_BUDGET
+    """Resolve the stored-entry budget: explicit override, else env var, else default.
+
+    A budget that is not an integer (``abc``, ``1e6``) or not positive is
+    refused with the name of the setting it came from."""
+    source, raw = "window_budget", override
+    if raw is None:
+        source, raw = WINDOW_BUDGET_ENV, os.environ.get(WINDOW_BUDGET_ENV) or DEFAULT_WINDOW_BUDGET
+    try:
+        budget = int(raw) if isinstance(raw, str) else operator.index(raw)
+    except (TypeError, ValueError):
+        raise DegenerateInputError(f"{source} must be an integer, got {raw!r}") from None
     if budget <= 0:
-        raise DegenerateInputError(f"window budget must be positive, got {budget}")
+        raise DegenerateInputError(f"{source} must be positive, got {budget}")
     return budget
 
 
@@ -263,80 +267,69 @@ class WindowVector:
 
 
 def add_scaled(u, v, alpha, beta):
-    """alpha*u + beta*v without sorting; exact zeros are dropped.
-
-    Disjoint index ranges are concatenated.  Otherwise v's support is looked
-    up in u's with ``searchsorted``: shared indices add in place and the rest
-    are interleaved at their insertion points.
-    """
-    if len(u) == 0:
-        return v * beta
-    if len(v) == 0:
-        return u * alpha
-    a = u.values * alpha
-    b = v.values * beta
-    if u.indices[-1] < v.indices[0]:
-        return WindowVector(np.concatenate([u.indices, v.indices]), np.concatenate([a, b]))
-    if v.indices[-1] < u.indices[0]:
-        return WindowVector(np.concatenate([v.indices, u.indices]), np.concatenate([b, a]))
-    pos = np.searchsorted(u.indices, v.indices)
-    hit = u.indices[np.minimum(pos, len(u) - 1)] == v.indices
-    a[pos[hit]] += b[hit]
-    fresh = ~hit
-    # the j-th fresh entry of v goes before u[pos] and after the j fresh ones before it
-    slots = pos[fresh] + np.arange(np.count_nonzero(fresh))
-    old = np.ones(len(a) + len(slots), bool)
-    old[slots] = False
-    idx = np.empty(len(old), np.int64)
-    val = np.empty(len(old), np.complex128)
-    idx[old], val[old] = u.indices, a
-    idx[slots], val[slots] = v.indices[fresh], b[fresh]
-    return WindowVector(idx, val)
+    """alpha*u + beta*v: the two-term :func:`combine`."""
+    return combine(((alpha, u), (beta, v)))
 
 
 def combine(terms):
     """sum_k c_k v_k over an iterable of (c_k, v_k) pairs, in order.
 
-    When the joint index span is at most twice the summed support, every
-    term is added into one dense accumulator (a slice for a contiguous
-    support, else a fancy index) that starts at -0.0, so an entry written by
-    a lone term keeps its bits; the nonzero entries are kept.  Sparser sums
-    are a left fold of :func:`add_scaled`.  Either way each entry is the same
-    left-to-right sum as the fold's.
+    A lone nonzero term is ``c * v`` (``v`` itself when c == 1).  Otherwise
+    every term, times its coefficient (1 included: x*(1+0j) may turn a -0.0
+    component into +0.0, and the two-term merge always multiplied), is added
+    in order into one accumulator that starts at -0.0, so an entry written
+    by one term keeps that term's bits.  The accumulator's coordinates are the joint index
+    span when that is at most twice the summed support, else the distinct
+    indices of the merged supports.  Either way exact zeros are dropped,
+    also those that :meth:`WindowVector.scale_by` stores.
     """
     terms = [(c, v) for c, v in terms if len(v)]
     if not terms:
         return WindowVector.zero()
+    if len(terms) == 1:
+        out = terms[0][1] * terms[0][0]
+        nonzero = out.values != 0
+        return out if nonzero.all() else out.restrict(lambda idx: nonzero)
     # Python ints: indices reach +-2^62, so the span may not fit in int64
     lo = min(int(v.indices[0]) for _, v in terms)
     span = max(int(v.indices[-1]) for _, v in terms) - lo + 1
+    keys = None
     if span > 2 * sum(len(v) for _, v in terms):
-        out = WindowVector.zero()
-        for c, v in terms:
-            out = add_scaled(out, v, 1.0, c)
-        return out
-    acc = np.full(span, complex(-0.0, -0.0))
+        merged = _merged([v.indices for _, v in terms])
+        keys = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+    acc = np.full(span if keys is None else len(keys), complex(-0.0, -0.0))
     for c, v in terms:
-        start = int(v.indices[0]) - lo
-        if int(v.indices[-1]) - lo - start + 1 == len(v):
+        if keys is not None:
+            where = np.searchsorted(keys, v.indices)
+        elif int(v.indices[-1]) - int(v.indices[0]) + 1 == len(v):
+            start = int(v.indices[0]) - lo
             where = slice(start, start + len(v))
         else:
             where = v.indices - np.int64(lo)
-        acc[where] += v.values if c == 1 else v.values * c
-    keep = np.flatnonzero(acc)
-    return WindowVector(keep + np.int64(lo), acc[keep], _checked=True)
+        acc[where] += v.values * c
+    # nonzero on the bool mask: np.flatnonzero of a complex array is ~5x slower
+    keep = np.flatnonzero(acc != 0)
+    indices = keep + np.int64(lo) if keys is None else keys[keep]
+    return WindowVector(indices, acc[keep], _checked=True)
+
+
+def _merged(supports):
+    """The concatenated index arrays, sorted in place so equal indices meet.
+
+    A sorted copy would hold a second full-size array; numpy's stable sort,
+    timsort for int64, finds the ascending runs of sorted supports and merges
+    them in linear passes."""
+    merged = np.concatenate(supports)
+    merged.sort(kind="stable")
+    return merged
 
 
 def _shared(a, b):
     """Ascending positions (in a, in b) of the indices two sorted arrays share.
 
-    The concatenation is sorted in place (a sorted copy would hold a second
-    full-size array) by numpy's stable sort, timsort for int64, which finds
-    the two ascending runs and merges them in one linear pass; a shared index
-    shows up as two equal neighbours.  Only the shared indices are then
-    looked up in each array."""
-    merged = np.concatenate([a, b])
-    merged.sort(kind="stable")
+    A shared index shows up as two equal neighbours of their merge; only the
+    shared indices are then looked up in each array."""
+    merged = _merged([a, b])
     common = merged[np.flatnonzero(merged[1:] == merged[:-1])]
     return np.searchsorted(a, common), np.searchsorted(b, common)
 

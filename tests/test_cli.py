@@ -161,6 +161,28 @@ def test_env_budget_caps_constructions(monkeypatch, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["abc", "1e6"])
+def test_malformed_env_budget_exits_two(raw, monkeypatch, capsys):
+    monkeypatch.setenv("ORBITFORGE_WINDOW_BUDGET", raw)
+    assert main(["verify", "--check", "orbit_certificate"]) == 2
+    err = capsys.readouterr().err
+    assert "ORBITFORGE_WINDOW_BUDGET" in err and repr(raw) in err
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [("window_budget = 1e6", "window_budget"), ('n = "abc"', "'n'")],
+)
+def test_malformed_verify_parameter_exits_two(line, key, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(
+        "[experiment]\ncommand = verify\n\n[params]\n"
+        f'check = "orbit_certificate"\n{line}\n'
+    )
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+
+
 # -- configs -----------------------------------------------------------------------
 
 

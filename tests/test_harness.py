@@ -104,6 +104,27 @@ def test_unknown_check_id_is_refused():
         run_check("pythagoras")
 
 
+@pytest.mark.parametrize(
+    "check_id, params, key",
+    [
+        ("orbit_certificate", {"n": "abc"}, "n"),
+        ("orbit_reverse_eigenvector", {"lam": "north"}, "lam"),
+        ("tuple_zeroing", {"powers": [1, "two"]}, "powers"),
+        ("diagonal_compression", {"model": "diagonal-qi:x"}, "model"),
+        ("moment_exact", {"eps": ["0", "1/0"]}, "eps"),
+        ("moment_exact", {"mode": "float", "rho": None}, "rho"),
+    ],
+)
+def test_unreadable_suite_parameter_is_refused_by_name(check_id, params, key):
+    with pytest.raises(DegenerateInputError, match=f"suite parameter '{key}'"):
+        run_check(check_id, params)
+
+
+def test_zero_orbit_length_is_refused_before_its_default_eps():
+    with pytest.raises(DegenerateInputError, match="orbit length"):
+        run_check("orbit_reverse_eigenvector", {"n": 0})
+
+
 def test_certificate_failure_becomes_failed_check():
     # an unreachable tolerance exhausts the zeroing stage cap; the suite
     # reports the failure with diagnostics instead of raising

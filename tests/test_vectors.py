@@ -513,11 +513,35 @@ def test_combine_sparse_path_allocates_no_span(family, coefficients):
 
     with mock.patch.object(np, "full", recording(np.full)), mock.patch.object(
         np, "zeros", recording(np.zeros)
-    ), mock.patch.object(vectors, "add_scaled", wraps=add_scaled) as merge:
+    ), mock.patch.object(vectors, "add_scaled", side_effect=AssertionError("merged pairwise")):
         got = combine(terms)
     assert max(sizes, default=0) <= 2 * stored
-    assert merge.call_count == sum(1 for v in family if len(v))
     assert got == combine_by_fold(terms)
+
+
+def fold_by_sort(terms):
+    out = WindowVector.zero()
+    for c, v in terms:
+        out = add_scaled_by_sort(out, v, 1.0, c)
+    return out
+
+
+def test_combine_sparse_path_bit_identical_to_the_sorting_fold():
+    # far-apart shared indices (span far above twice the stored entries), an
+    # exact cancellation at 0 that a later term writes again, and signed zeros
+    far = 10 ** 15
+    terms = [
+        (1, WindowVector([-far, 0, far], [complex(-0.0, 1.5), 0.5 + 2j, complex(-2.0, -0.0)])),
+        (-1, WindowVector([0, far], [0.5 + 2j, 1.0 + 0.25j])),
+        (1, WindowVector([0, 7], [4.0 + 1j, complex(-1.0, -0.0)])),
+        (0.5, WindowVector([far, 2 * far], [2.0 - 4j, complex(-3.0, -0.0)])),
+    ]
+    with mock.patch.object(vectors, "add_scaled", side_effect=AssertionError("merged pairwise")):
+        got = combine(terms)
+    assert got.indices.tolist() == [-far, 0, 7, far, 2 * far]
+    assert got[0] == 4.0 + 1j
+    assert np.signbit(got.values.real[0]) and np.signbit(got.values.imag[[2, 4]]).all()
+    assert_bit_identical(got, fold_by_sort(terms))
 
 
 def test_combine_empty_and_lone_terms():
