@@ -102,7 +102,8 @@ def _cmd_nrange(args):
     op = DenseOperator(a)
     bounds = radius_norm_bounds(op)
     print(
-        f"radius {bounds['radius']:.9g}  norm {bounds['norm_bound']:.9g}  "
+        f"radius {bounds['radius']:.9g} to {bounds['radius_upper']:.9g}  "
+        f"norm {bounds['norm_lower']:.9g} to {bounds['norm_upper']:.9g}  "
         f"w<=norm {'ok' if bounds['lower_holds'] else 'FAIL'}  "
         f"norm<=2w {'ok' if bounds['upper_holds'] else 'FAIL'}"
     )
@@ -316,8 +317,9 @@ def build_parser():
         "nrange",
         help="numerical radius and norm comparison for a dense matrix",
         description=(
-            "Verifies: w(T) <= ||T|| <= 2 w(T), where w is the numerical "
-            "radius measured on the support-function grid."
+            "Verifies: w(T) <= ||T|| <= 2 w(T), w the numerical radius on the "
+            "support-function grid; 'ok' means not refuted by the printed "
+            "enclosures of w and ||T|| (J2 has ||T|| = 2 w(T) exactly)."
         ),
     )
     src = p.add_mutually_exclusive_group()

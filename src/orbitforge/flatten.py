@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .certify import Check, require
-from .nrange import numerical_radius
+from .nrange import radius_norm_bounds
 from .operators import (
     BilateralShift,
     DenseOperator,
@@ -483,10 +483,10 @@ def flat_subspace(op, eps, d, window_budget=None, rng=None):
     per_n = []
     excess = []
     for row in measured.pop("per_n"):
-        w, _theta = numerical_radius(row.pop("compression"))
-        excess.append(row["norm"] - 2.0 * w)
-        per_n.append(dict(row, numerical_radius=w, norm_le_2w=excess[-1] <= 1e-12))
-    checks.append(Check.at_most("norm_le_2w", max(excess), 1e-12))
+        nr = radius_norm_bounds(row.pop("compression"))
+        excess.append(nr["norm_lower"] - 2.0 * nr["radius_upper"])
+        per_n.append(dict(row, numerical_radius=nr["radius"], norm_le_2w=nr["upper_holds"]))
+    checks.append(Check.at_most("norm_le_2w", max(excess), 0.0))
     require(checks, "flat subspace")
     report = dict(
         measured,

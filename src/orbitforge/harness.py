@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -192,6 +193,14 @@ def _param(params, key, default, read):
         ) from None
 
 
+def _int_param(value):
+    """An int, an integral float or a decimal string; 8.7, "8.7" and booleans
+    are refused rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value) if isinstance(value, (str, float)) else operator.index(value)
+
+
 def _complex_param(value):
     z = complex(value[0], value[1]) if isinstance(value, (list, tuple)) else complex(value)
     return z, [z.real, z.imag]
@@ -209,7 +218,7 @@ def _model(params, default):
 
 def _check_orbit_certificate(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
-    n, eps = _param(params, "n", 8, int), _param(params, "eps", 0.1, float)
+    n, eps = _param(params, "n", 8, _int_param), _param(params, "eps", 0.1, float)
     cert = almost_orthogonal_orbit(op, n, eps, window_budget=budget)
     lines = verify_orbit(op, cert.x, n, eps).checks.values()
     return dict(norm, n=n, eps=eps), list(lines)
@@ -217,7 +226,7 @@ def _check_orbit_certificate(params, seed):
 
 def _check_orbit_reverse_eigenvector(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
-    n = _param(params, "n", 8, int)
+    n = _param(params, "n", 8, _int_param)
     # n < 1 is refused by the builder, not by a ZeroDivisionError here
     eps = _param(params, "eps", 1.0 / max(n, 1), float)
     lam, lam_json = _param(params, "lam", 1.0, _complex_param)
@@ -229,14 +238,14 @@ def _check_orbit_reverse_eigenvector(params, seed):
 
 def _check_unitary_orthogonal_orbit(params, seed):
     op, budget, norm = _model(params, "diagonal-qi:2")
-    n, eps = _param(params, "n", 8, int), _param(params, "eps", 0.1, float)
+    n, eps = _param(params, "n", 8, _int_param), _param(params, "eps", 0.1, float)
     cert = almost_orthogonal_orbit(op, n, eps, window_budget=budget)
     return dict(norm, n=n, eps=eps), verify_unitary_orbit(op, cert.x, n, eps)
 
 
 def _check_rokhlin_tower(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
-    n, eps = _param(params, "n", 65, int), _param(params, "eps", 0.25, float)
+    n, eps = _param(params, "n", 65, _int_param), _param(params, "eps", 0.25, float)
     tower = rokhlin_tower(op, n, eps, window_budget=budget)
     lines = verify_rokhlin_tower(op, tower.w, tower.u, eps).checks.values()
     return dict(norm, n=n, eps=eps), list(lines)
@@ -244,7 +253,7 @@ def _check_rokhlin_tower(params, seed):
 
 def _check_flat_subspace(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
-    eps, d = _param(params, "eps", 0.25, float), _param(params, "d", 3, int)
+    eps, d = _param(params, "eps", 0.25, float), _param(params, "d", 3, _int_param)
     sub, _report = flat_subspace(op, eps, d, window_budget=budget, rng=seed)
     lines, _measured = verify_flat_subspace(op, sub.basis, eps, rng=seed)
     return dict(norm, eps=eps, d=d), lines
@@ -252,7 +261,7 @@ def _check_flat_subspace(params, seed):
 
 def _check_tuple_zeroing(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
-    powers = _param(params, "powers", [1, 2, 3, 4], lambda ps: [int(p) for p in ps])
+    powers = _param(params, "powers", [1, 2, 3, 4], lambda ps: [_int_param(p) for p in ps])
     tol = _param(params, "tol", 1e-8, float)
     ops = tuple(OperatorPower(op, p) for p in powers)
     cert = zero_tuple_vector(ops, tol=tol, window_budget=budget)
@@ -263,7 +272,7 @@ def _check_tuple_zeroing(params, seed):
 def _check_diagonal_compression(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
     lam, lam_json = _param(params, "lam", [0.4, 0.1], _complex_param)
-    n, dim = _param(params, "n", 3, int), _param(params, "dim", 2, int)
+    n, dim = _param(params, "n", 3, _int_param), _param(params, "dim", 2, _int_param)
     delta = _param(params, "delta", 0.05, float)
     res = diagonal_compression_subspace(
         op, lam, n, dim=dim, delta=delta, window_budget=budget

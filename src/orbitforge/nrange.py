@@ -47,6 +47,7 @@ from .moments import (
 )
 from .operators import (
     TWO_PI,
+    UNIT_ROUNDOFF,
     BilateralShift,
     ConstantWeights,
     DenseOperator,
@@ -59,6 +60,7 @@ from .operators import (
     as_power,
     compress,
     power_forms,
+    spectral_error_bound,
 )
 from .spectra import _constraint_indices, circle_in_pi_essential, shift_eigen_window
 from .vectors import BudgetMeter, WindowVector, combine, gram, inner, normalize
@@ -68,7 +70,7 @@ from .vectors import BudgetMeter, WindowVector, combine, gram, inner, normalize
 # dense numerical range
 
 
-def _as_dense_matrix(op):
+def _as_dense(op):
     if not isinstance(op, DenseOperator):
         try:
             arr = np.asarray(op, np.complex128)
@@ -78,7 +80,7 @@ def _as_dense_matrix(op):
             raise UnsupportedModelError("numerical range boundary needs a dense square matrix")
         # refuses empty and non-finite matrices
         op = DenseOperator(arr)
-    return op.matrix
+    return op
 
 
 def _angle_grid(n_angles):
@@ -136,7 +138,7 @@ def nr_boundary(op, n_angles=512):
     For each grid angle theta, the top eigenvector x of Re(e^{-i theta} T)
     yields the boundary point <T x, x> whose outward normal is e^{i theta}.
     """
-    a = _as_dense_matrix(op)
+    a = _as_dense(op).matrix
     thetas = _angle_grid(n_angles)
     support = np.empty(len(thetas))
     points = np.empty(len(thetas), np.complex128)
@@ -170,7 +172,6 @@ def _golden_max(f, lo, hi, iters=80):
 # the coarse radius pass solves every stride-th grid angle, stride at most
 # this and at most n_angles // 8, so every coarse arc spans at most pi/4
 _COARSE_STRIDE = 8
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _wedge_bounds(h0, h1, gap, eps):
@@ -190,20 +191,19 @@ def _wedge_bounds(h0, h1, gap, eps):
     4u|z*| the rounding of the formula itself.
     """
     v = np.sqrt((h0 - h1) ** 2 + 4.0 * h0 * h1 * np.sin(gap / 2.0) ** 2) / np.sin(gap)
-    return v + (1.0 + 2.0 / np.sin(gap)) * eps + 4.0 * _UNIT_ROUNDOFF * np.abs(v)
+    return v + (1.0 + 2.0 / np.sin(gap)) * eps + 4.0 * UNIT_ROUNDOFF * np.abs(v)
 
 
 def _radius_sweep(a, n_angles):
     """Grid values of h, coarse to fine, and an upper enclosure of max h.
 
     The coarse pass solves every stride-th angle; the arc from the last
-    coarse angle wraps to angle 0.  Eigenvalues of a Hermitian n x n matrix
-    come back within eps = 16 n u ||A||_F of the exact ones (the backward
-    error p(n) u ||H||_2 of the eigensolver with p(n) = 16 n, ||H||_2 <=
-    ||A||_F, also covering the rounding of the grid angles and of the stack
-    entries), so an arc whose wedge bound (see :func:`_wedge_bounds`) lies
-    below the third-largest coarse value holds no computed grid value that
-    could rank among the three largest, and its interior angles keep -inf.
+    coarse angle wraps to angle 0.  Eigenvalues of the Hermitian parts come
+    back within eps = 16 n u ||A||_F of the exact ones (see
+    :func:`~orbitforge.operators.spectral_error_bound`), so an arc whose
+    wedge bound (see :func:`_wedge_bounds`) lies below the third-largest
+    coarse value holds no computed grid value that could rank among the
+    three largest, and its interior angles keep -inf.
     Every other arc is solved at every grid angle.  The enclosure is the
     largest wedge bound over the grid steps of solved arcs: a skipped arc's
     bound lies below the third-largest coarse value, and the step next to
@@ -214,7 +214,7 @@ def _radius_sweep(a, n_angles):
     thetas = _angle_grid(n_angles)
     n_angles = len(thetas)
     stride = max(1, min(_COARSE_STRIDE, n_angles // 8))
-    eps = 16.0 * a.shape[0] * _UNIT_ROUNDOFF * float(np.linalg.norm(a))
+    eps = spectral_error_bound(a)
 
     values = np.full(n_angles, -np.inf)
     coarse = np.arange(0, n_angles, stride)
@@ -239,7 +239,7 @@ def numerical_radius(op, n_angles=720, with_upper=False):
     Returns (w, theta); with ``with_upper`` also the enclosure w(T) <= upper
     from the wedge bounds of the coarse-to-fine grid.
     """
-    a = _as_dense_matrix(op)
+    a = _as_dense(op).matrix
     thetas, values, upper = _radius_sweep(a, n_angles)
     step = TWO_PI / len(thetas)
     best_w = -np.inf
@@ -257,25 +257,28 @@ def numerical_radius(op, n_angles=720, with_upper=False):
 
 
 def radius_norm_bounds(op, n_angles=720):
-    """Measured two-sided comparison w(T) <= ||T|| <= 2 w(T) for dense T.
+    """Two-sided comparison w(T) <= ||T|| <= 2 w(T) for dense T, by enclosures.
 
-    ``radius`` is the polished grid maximum, a lower estimate of w(T);
-    ``radius_upper`` encloses w(T) from above.
+    ``radius`` is the polished grid maximum, a computed h(theta), so radius -
+    eps <= w(T) with eps from :func:`~orbitforge.operators.spectral_error_bound`;
+    ``radius_upper`` bounds w(T) from above, and [``norm_lower``,
+    ``norm_upper``] encloses ||T|| (``norm_bound`` is the upper end).  Each
+    verdict means "not refuted by the enclosures": ``lower_holds`` is
+    radius - eps <= norm_upper, ``upper_holds`` is norm_lower <= 2
+    radius_upper, with no further slack, since the Jordan block J2 has
+    ||T|| = 2 w(T) exactly.
     """
-    a = _as_dense_matrix(op)
+    op = _as_dense(op)
     w, _, w_upper = numerical_radius(op, n_angles, with_upper=True)
-    # spectral norm via the certified power-iteration bound of DenseOperator
-    norm = DenseOperator(a).norm_bound()
-    lower_slack = norm - w
-    upper_slack = 2.0 * w - norm
+    norm_lower, norm_upper = op.norm_enclosure()
     return {
         "radius": w,
         "radius_upper": w_upper,
-        "norm_bound": norm,
-        "lower_holds": w <= norm + 1e-9,
-        "upper_holds": norm <= 2.0 * w + 1e-6 * max(norm, 1.0),
-        "lower_slack": lower_slack,
-        "upper_slack": upper_slack,
+        "norm_lower": norm_lower,
+        "norm_upper": norm_upper,
+        "norm_bound": norm_upper,
+        "lower_holds": w - spectral_error_bound(op.matrix) <= norm_upper,
+        "upper_holds": norm_lower <= 2.0 * w_upper,
     }
 
 

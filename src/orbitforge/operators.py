@@ -3,9 +3,9 @@
 Five kinds: bilateral and unilateral weighted shifts, diagonal unitaries,
 finite multiplication grids, and dense matrices.  The first four act lazily on
 :class:`~orbitforge.vectors.WindowVector` supports of any size; dense matrices
-act on vectors whose support fits their dimension.  Every model reports a
-certified upper bound for its operator norm, which downstream constructions
-use in their schedule formulas.
+act on vectors whose support fits their dimension.  Every model reports an
+upper bound for its operator norm (for dense matrices, the top of an SVD
+enclosure), which downstream constructions use in their schedule formulas.
 """
 
 from __future__ import annotations
@@ -449,6 +449,21 @@ class MultiplicationGrid:
         }
 
 
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def spectral_error_bound(a):
+    """eps = 16 n u ||A||_F for an n x n matrix A.
+
+    LAPACK's Hermitian eigensolver and SVD are backward stable (LAPACK Users'
+    Guide sec. 4.7, 4.9): each computed eigenvalue of a Hermitian part
+    Re(e^{-i theta} A), and each computed singular value of A, is within
+    p(n) u ||A||_2 <= eps of an exact one, p(n) = 16 n also covering the
+    rounding of forming the input.
+    """
+    return 16.0 * a.shape[0] * UNIT_ROUNDOFF * float(np.linalg.norm(a))
+
+
 class DenseOperator:
     index_set = "finite"
     kind = "dense"
@@ -462,7 +477,6 @@ class DenseOperator:
         m.setflags(write=False)
         self.matrix = m
         self.dim = m.shape[0]
-        self._norm_bound = None
 
     def apply(self, v):
         return WindowVector.from_dense(self.matrix @ v.to_dense(self.dim))
@@ -470,37 +484,16 @@ class DenseOperator:
     def apply_adjoint(self, v):
         return WindowVector.from_dense(self.matrix.conj().T @ v.to_dense(self.dim))
 
-    def norm_bound(self):
-        """Certified upper bound for the spectral norm.
+    def norm_enclosure(self):
+        """[sigma - eps, sigma + eps] around ||A||_2: sigma from LAPACK's SVD
+        (``np.linalg.norm(A, 2)``), eps from :func:`spectral_error_bound`."""
+        sigma = float(np.linalg.norm(self.matrix, 2))
+        eps = spectral_error_bound(self.matrix)
+        return sigma - eps, sigma + eps
 
-        Power iteration on A*A gives the sharp estimate; the Frobenius norm and
-        sqrt(norm_1 * norm_inf) clamp it from above, so the returned value is an
-        upper bound even if the iteration stalled on a bad start.
-        """
-        if self._norm_bound is None:
-            a = self.matrix
-            frob = float(np.linalg.norm(a))
-            n1 = float(np.max(np.sum(np.abs(a), axis=0)))
-            ninf = float(np.max(np.sum(np.abs(a), axis=1)))
-            cap = min(frob, math.sqrt(n1 * ninf))
-            rng = np.random.default_rng(7)
-            x = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-            x /= np.linalg.norm(x)
-            est = 0.0
-            for _ in range(300):
-                y = a.conj().T @ (a @ x)
-                ny = float(np.linalg.norm(y))
-                if ny == 0.0:
-                    est = 0.0
-                    break
-                new = math.sqrt(ny)
-                x = y / ny
-                if abs(new - est) <= 1e-12 * max(new, 1.0):
-                    est = new
-                    break
-                est = new
-            self._norm_bound = min(est * (1.0 + 1e-6) + 1e-6, cap)
-        return self._norm_bound
+    def norm_bound(self):
+        """Upper bound for the spectral norm: the top of :meth:`norm_enclosure`."""
+        return self.norm_enclosure()[1]
 
     def is_unitary(self):
         eye = np.eye(self.dim)

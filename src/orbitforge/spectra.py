@@ -1,4 +1,4 @@
-"""Spectral descriptors for the model catalogue, plus a dense Schur solver.
+"""Spectral descriptors for the model catalogue.
 
 For the lazy models (shifts, diagonal unitaries, grids) the four spectral sets
 are known in closed form and are returned as :class:`Region` descriptors:
@@ -15,9 +15,9 @@ whose spectral sets fall outside the region vocabulary are refused rather
 than approximated.
 
 Dense matrices get an eigenvalue computation instead of a catalogue entry:
-:func:`dense_spectrum` runs an in-package complex Schur reduction and returns
-the eigenvalues together with a backward-error certificate, so a caller never
-has to trust the iteration itself, only the final residual check.
+:func:`dense_spectrum` takes LAPACK's eigenpairs and returns the eigenvalues
+together with a backward-error line re-measured from the raw pairs, so a
+caller never has to trust the eigensolver, only the residual check.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import UNIT_TOL, Check
+from .certify import UNIT_TOL, Check, require
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -320,153 +320,44 @@ def grid_eigen_vector(grid, node_index):
 
 
 # ---------------------------------------------------------------------------
-# dense Schur reduction
+# dense eigenvalues
 
 DENSE_SPECTRUM_CAP = 512
 _BACKWARD_TOL = 1e-8
 
 
-def _householder_hessenberg(a):
-    n = a.shape[0]
-    h = a.copy()
-    q = np.eye(n, dtype=np.complex128)
-    for k in range(n - 2):
-        x = h[k + 1:, k].copy()
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        v = x.copy()
-        v[0] += phase * nx
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        # H = I - 2 v v^H applied from both sides, and accumulated into q
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
-        q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, v.conj())
-        h[k + 2:, k] = 0.0
-    return h, q
-
-
-def _wilkinson_shift(a, b, c, d):
-    tr = a + d
-    det = a * d - b * c
-    disc = cmath.sqrt(tr * tr - 4.0 * det)
-    mu1 = (tr + disc) / 2.0
-    mu2 = (tr - disc) / 2.0
-    return mu1 if abs(mu1 - d) <= abs(mu2 - d) else mu2
-
-
-def _givens(a, b):
-    r = math.hypot(abs(a), abs(b))
-    if r == 0.0:
-        return 1.0 + 0j, 0.0 + 0j, 0.0
-    return np.conj(a) / r, np.conj(b) / r, r
-
-
 def dense_spectrum(op_or_matrix, tol=_BACKWARD_TOL):
-    """Eigenvalues of a dense matrix with a backward-error certificate.
+    """Eigenvalues of a dense matrix with a per-pair backward-error line.
 
-    Householder reduction to Hessenberg form followed by Wilkinson-shifted QR
-    with deflation, unitary factor accumulated throughout.  The certificate
-    re-measures ||A - Q T Q*||_F against tol * ||A||_F from the raw factors;
-    failure raises NumericalError rather than returning unvouched numbers.
+    LAPACK (``np.linalg.eig``) returns pairs (lam_k, v_k); the line
+    ``eigen_backward_error`` re-measures r_k = A v_k - lam_k v_k from them
+    and requires max_k ||r_k|| / (||A||_2 ||v_k||) <= tol.  Each lam_k is
+    then an exact eigenvalue of A - r_k v_k^H / ||v_k||^2, a matrix within
+    that relative distance of A.  The line vouches for each returned value;
+    it does not vouch for multiplicities or for the list being complete, and
+    no caller needs either.  A miss raises NumericalError rather than
+    returning unvouched numbers.  Returns the eigenvalues, sorted by real
+    then imaginary part, and ``{"backward_error", "check"}``.
     """
-    if isinstance(op_or_matrix, DenseOperator):
-        a = np.array(op_or_matrix.matrix, np.complex128)
-    else:
-        a = np.array(op_or_matrix, np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise DegenerateInputError("need a nonempty square matrix")
+    if not isinstance(op_or_matrix, DenseOperator):
+        # refuses empty, non-square and non-finite matrices
+        op_or_matrix = DenseOperator(op_or_matrix)
+    a = op_or_matrix.matrix
     n = a.shape[0]
     if n > DENSE_SPECTRUM_CAP:
         raise UnsupportedModelError(
             f"dense spectra are capped at {DENSE_SPECTRUM_CAP}x{DENSE_SPECTRUM_CAP}, got {n}"
         )
 
-    if n == 1:
-        eigs = np.array([a[0, 0]])
-        cert = {"backward_error": 0.0, "unitarity_defect": 0.0, "iterations": 0}
-        return eigs, cert
-
-    h, q = _householder_hessenberg(a)
-    norm_a = float(np.linalg.norm(a))
-    deflate_tol = 1e-14
-
-    iterations = 0
-    hi = n - 1
-    budget = 60 * n
-    while hi > 0:
-        # deflate every negligible subdiagonal entry in the active block
-        for k in range(hi, 0, -1):
-            if abs(h[k, k - 1]) <= deflate_tol * (abs(h[k - 1, k - 1]) + abs(h[k, k]) + norm_a * 1e-16):
-                h[k, k - 1] = 0.0
-        while hi > 0 and h[hi, hi - 1] == 0.0:
-            hi -= 1
-        if hi == 0:
-            break
-        lo = hi
-        while lo > 0 and h[lo, lo - 1] != 0.0:
-            lo -= 1
-
-        iterations += 1
-        if iterations > budget:
-            raise NumericalError(
-                "Schur iteration did not converge within its budget",
-                residual=float(abs(h[hi, hi - 1])),
-            )
-        if iterations % 20 == 0:
-            # exceptional shift to break symmetric stalls
-            mu = h[hi, hi] + abs(h[hi, hi - 1]) * (0.75 + 0.3j)
-        else:
-            mu = _wilkinson_shift(
-                h[hi - 1, hi - 1], h[hi - 1, hi], h[hi, hi - 1], h[hi, hi]
-            )
-
-        # explicit shifted QR sweep on the active block [lo, hi]
-        for k in range(lo, hi + 1):
-            h[k, k] -= mu
-        rotations = []
-        for k in range(lo, hi):
-            c, s, r = _givens(h[k, k], h[k + 1, k])
-            rotations.append((k, c, s))
-            # rows of the active block stretch across all trailing columns
-            row_k = h[k, k:].copy()
-            row_k1 = h[k + 1, k:].copy()
-            h[k, k:] = c * row_k + s * row_k1
-            h[k + 1, k:] = -np.conj(s) * row_k + np.conj(c) * row_k1
-            h[k + 1, k] = 0.0
-        for (k, c, s) in rotations:
-            # columns of the block reach up to row 0 of the upper triangle
-            col_k = h[:k + 2, k].copy()
-            col_k1 = h[:k + 2, k + 1].copy()
-            h[:k + 2, k] = col_k * np.conj(c) + col_k1 * np.conj(s)
-            h[:k + 2, k + 1] = -col_k * s + col_k1 * c
-            qc_k = q[:, k].copy()
-            qc_k1 = q[:, k + 1].copy()
-            q[:, k] = qc_k * np.conj(c) + qc_k1 * np.conj(s)
-            q[:, k + 1] = -qc_k * s + qc_k1 * c
-        for k in range(lo, hi + 1):
-            h[k, k] += mu
-
-    t = np.triu(h)
-    backward = float(np.linalg.norm(a - q @ t @ q.conj().T))
-    unitarity = float(np.linalg.norm(q.conj().T @ q - np.eye(n)))
-    rel = backward / norm_a if norm_a > 0 else backward
-    if rel > tol:
-        raise NumericalError(
-            f"Schur backward error {rel:.3e} exceeds {tol:.1e}", residual=rel
-        )
-    eigs = np.diag(t).copy()
+    eigs, vecs = np.linalg.eig(a)
+    residuals = np.linalg.norm(a @ vecs - vecs * eigs, axis=0)
+    norm_a = float(np.linalg.norm(a, 2))
+    if norm_a > 0:
+        residuals = residuals / (norm_a * np.linalg.norm(vecs, axis=0))
+    line = Check.at_most("eigen_backward_error", np.max(residuals), tol)
+    require([line], "dense spectrum")
     order = np.lexsort((eigs.imag, eigs.real))
-    cert = {
-        "backward_error": rel,
-        "unitarity_defect": unitarity,
-        "iterations": iterations,
-    }
-    return eigs[order], cert
+    return eigs[order], {"backward_error": line.measured, "check": line}
 
 
 # ---------------------------------------------------------------------------

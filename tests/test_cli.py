@@ -171,7 +171,12 @@ def test_malformed_env_budget_exits_two(raw, monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "line, key",
-    [("window_budget = 1e6", "window_budget"), ('n = "abc"', "'n'")],
+    [
+        ("window_budget = 1e6", "window_budget"),
+        ('n = "abc"', "'n'"),
+        ("n = 8.7", "'n'"),
+        ("n = true", "'n'"),
+    ],
 )
 def test_malformed_verify_parameter_exits_two(line, key, tmp_path, capsys):
     cfg = tmp_path / "bad.ini"

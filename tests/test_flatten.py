@@ -1,6 +1,7 @@
 """Flat vectors and subspaces: Sidon combinatorics checked against brute force."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -139,12 +140,16 @@ def test_probe_validates_inputs():
 
 def test_probe_refuses_an_overflowing_power_bound():
     op = DenseOperator(2 * np.eye(2))
+    # the top of the SVD enclosure of ||2 I|| = 2
+    nb = op.norm_bound()
+    assert 2.0 < nb <= 2.0 + 1e-13
+    refusal = rf"{re.escape(repr(nb))} raised to the horizon 1100"
     with warnings.catch_warnings():
         # the refusal comes before any power is applied
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match=r"2\.0 raised to the horizon 1100"):
+        with pytest.raises(NumericalError, match=refusal):
             weak_decay_probe(op, [WindowVector.basis(0)], 1100)
-    assert weak_decay_probe(op, [WindowVector.basis(0)], 1000).power_bound == 2.0 ** 1000
+    assert weak_decay_probe(op, [WindowVector.basis(0)], 1000).power_bound == nb ** 1000
 
 
 # -- flat vectors -------------------------------------------------------------------

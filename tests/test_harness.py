@@ -113,11 +113,25 @@ def test_unknown_check_id_is_refused():
         ("diagonal_compression", {"model": "diagonal-qi:x"}, "model"),
         ("moment_exact", {"eps": ["0", "1/0"]}, "eps"),
         ("moment_exact", {"mode": "float", "rho": None}, "rho"),
+        # integer parameters are refused, not truncated
+        ("orbit_certificate", {"n": 8.7}, "n"),
+        ("orbit_certificate", {"n": "8.7"}, "n"),
+        ("orbit_certificate", {"n": True}, "n"),
+        ("flat_subspace", {"d": 2.5}, "d"),
+        ("tuple_zeroing", {"powers": [1, 2.5]}, "powers"),
+        ("tuple_zeroing", {"powers": [1, False]}, "powers"),
     ],
 )
 def test_unreadable_suite_parameter_is_refused_by_name(check_id, params, key):
     with pytest.raises(DegenerateInputError, match=f"suite parameter '{key}'"):
         run_check(check_id, params)
+
+
+@pytest.mark.parametrize("n", [8, "8", 8.0])
+def test_integral_integer_parameter_is_read_as_int(n):
+    c = run_check("orbit_certificate", {"n": n})
+    assert c.passed()
+    assert c.params["n"] == 8 and type(c.params["n"]) is int
 
 
 def test_zero_orbit_length_is_refused_before_its_default_eps():

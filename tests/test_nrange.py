@@ -33,6 +33,7 @@ from orbitforge.operators import (
     UnilateralShift,
     apply_power,
     power_tuple,
+    spectral_error_bound,
 )
 from orbitforge.vectors import WindowVector, inner
 
@@ -108,6 +109,24 @@ def test_radius_norm_two_sided_inequality():
         true_norm = np.linalg.norm(a, 2)
         assert out["radius"] <= true_norm + 1e-9
         assert true_norm <= 2.0 * out["radius"] + 1e-9
+
+
+def test_radius_norm_verdicts_compare_enclosure_ends():
+    rng = _rng(11)
+    diag = np.diag(np.exp(2j * math.pi * rng.random(6)) * rng.random(6))
+    cases = [_jordan(2), _jordan(5), diag, np.eye(3, dtype=complex), np.zeros((3, 3), complex)]
+    cases += [_random_matrix(n, 500 + n) for n in (8, 64)]
+    for a in cases:
+        out = radius_norm_bounds(a)
+        assert out["lower_holds"] and out["upper_holds"]
+        assert out["norm_bound"] == out["norm_upper"]
+        assert out["norm_lower"] <= np.linalg.norm(a, 2) <= out["norm_upper"]
+        width = out["norm_upper"] - out["norm_lower"]
+        eps = spectral_error_bound(np.asarray(a, complex))
+        assert width <= 2.0 * eps + 2.0 * np.spacing(out["norm_upper"])
+    # ||J2|| = 2 w(J2) exactly: the verdict cannot ask for a margin
+    j2 = radius_norm_bounds(_jordan(2))
+    assert j2["norm_lower"] <= 1.0 <= 2.0 * j2["radius_upper"]
 
 
 def test_boundary_rejects_lazy_models():

@@ -30,6 +30,7 @@ from orbitforge.operators import (
     operator_from_json,
     power_tuple,
     require_same_space,
+    spectral_error_bound,
 )
 from orbitforge.vectors import WindowVector, inner
 
@@ -212,6 +213,23 @@ def test_dense_norm_bound_brackets_true_norm():
         bound = op.norm_bound()
         assert bound >= true - 1e-12
         assert bound <= true * (1 + 1e-5) + 1e-5
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5])
+def test_dense_norm_enclosure_holds_across_a_small_singular_gap(gap):
+    # sigma_max = 1 with the runner-up 1 - gap: a slow case for power iteration
+    rng = np.random.default_rng(16)
+    u, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    v, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    sigma = np.concatenate(([1.0, 1.0 - gap], np.linspace(0.9, 0.1, 14)))
+    a = (u * sigma) @ v.conj().T
+    op = DenseOperator(a)
+    assert op.norm_bound() >= 1.0
+    lo, hi = op.norm_enclosure()
+    assert lo <= 1.0 <= hi
+    assert op.norm_bound() == hi
+    # sigma +- eps round once each
+    assert hi - lo <= 2.0 * spectral_error_bound(op.matrix) + 2.0 * np.spacing(hi)
 
 
 def test_function_weights_need_declared_sup():

@@ -223,7 +223,7 @@ def test_grid_eigen_vector_is_exact():
     assert (g.apply(v) - lam * v).norm() <= 1e-15
 
 
-# -- dense Schur ----------------------------------------------------------
+# -- dense eigenvalues ----------------------------------------------------
 
 
 def assert_same_multiset(got, want, tol):
@@ -246,7 +246,6 @@ def test_dense_spectrum_matches_numpy(n, seed):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     eigs, cert = dense_spectrum(a)
     assert cert["backward_error"] <= 1e-8
-    assert cert["unitarity_defect"] <= 1e-10
     assert_same_multiset(eigs, np.linalg.eigvals(a), tol=1e-6 * np.linalg.norm(a))
 
 
@@ -274,6 +273,19 @@ def test_dense_spectrum_repeated_eigenvalues():
     a[0, 2] = 5.0
     eigs, _ = dense_spectrum(a)
     assert_same_multiset(eigs, [1.0, 2.0, 2.0], tol=1e-9)
+
+
+@pytest.mark.parametrize("k", [8, 16])
+def test_dense_spectrum_vouches_for_jordan_blocks_and_their_similarity_transforms(k):
+    jordan = np.eye(k, k=1, dtype=complex)
+    rng = np.random.default_rng(k)
+    s = np.eye(k) + 0.3 * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    for a in (jordan, s @ jordan @ np.linalg.inv(s)):
+        eigs, cert = dense_spectrum(a)
+        line = cert["check"]
+        assert line.label == "eigen_backward_error" and line.passed
+        assert line.measured == cert["backward_error"] <= line.bound == 1e-8
+        assert len(eigs) == k
 
 
 def test_dense_spectrum_cap_and_validation():
