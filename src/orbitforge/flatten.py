@@ -479,7 +479,7 @@ def flat_subspace(op, eps, d, window_budget=None, rng=None):
     schedule.validate()
 
     checks, measured = verify_flat_subspace(op, vectors, eps, rng)
-    # ||C|| <= 2 w(C) holds for every matrix; a miss flags the radius sweep
+    # ||C|| <= 2 w(C) holds for every matrix; a miss flags the radius search
     per_n = []
     excess = []
     for row in measured.pop("per_n"):
@@ -512,11 +512,11 @@ def _sample_ratio_bound(d):
     of a nonnegative matrix grows with its entries, so the exact ratio of the
     two computed matrices is at most (1 + gamma_5) / (1 - gamma_2).  The
     singular values come back from a backward-stable SVD, exact for a matrix
-    within p u ||A||_2 of A, p = 16 d as for the eigensolver in
-    :func:`orbitforge.nrange._radius_sweep` (LAPACK Users' Guide sec. 4.9;
-    Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1 for the
-    gamma_k), so the two norms move by factors 1 +- 16 d u, and the division
-    rounds once more.  The product is
+    within p u ||A||_2 of A, p = 16 d as in
+    :func:`orbitforge.operators.spectral_error_bound` (LAPACK Users' Guide
+    sec. 4.9; Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1
+    for the gamma_k), so the two norms move by factors 1 +- 16 d u, and the
+    division rounds once more.  The product is
 
         (1 + u) (1 + gamma_5) (1 + 16 d u) / ((1 - gamma_2) (1 - 16 d u))
             = 1 + (8 + 32 d) u + O(d^2 u^2),

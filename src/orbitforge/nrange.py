@@ -5,13 +5,13 @@ the support-function identity
 
     h(theta) = top eigenvalue of Re(e^{-i theta} T),
 
-evaluated with a Hermitian eigensolver on stacks of grid angles, with
-golden-section polish for the radius.  The radius grid is solved coarse to
-fine: C. R. Johnson's polygon (SIAM J. Numer. Anal. 15, 1978) bounds h on
-the arc between two solved angles by the modulus of the vertex where their
-supporting lines meet, so arcs whose wedge vertex lies below the third-largest
-coarse value are never refined.  The same vertices, over every arc at its
-finest solved spacing, give an upper enclosure ``radius_upper`` of w(T).
+evaluated with a Hermitian eigensolver on stacks of angles.  The radius comes
+from a best-first search on C. R. Johnson's polygon (SIAM J. Numer. Anal. 15,
+1978), refined adaptively as in F. Uhlig (Numer. Algorithms 52, 2009): two
+solved angles bound h on the arc between them by the wedge their supporting
+lines cut out, and only arcs whose bound can still beat the best solved value
+are split.  The largest computed h is the lower end ``radius`` and the largest
+wedge bound left is the upper enclosure ``radius_upper`` of w(T).
 
 For the lazy models the interesting question is the reverse one: given
 targets mu_1..mu_N for the quadratic forms <T^{p_1} x, x>, ..., <T^{p_N} x, x>,
@@ -112,10 +112,6 @@ def _support_values(a, thetas):
     return out
 
 
-def _support_value(a, theta):
-    return float(_support_values(a, (theta,))[0])
-
-
 @dataclass
 class BoundaryResult:
     thetas: np.ndarray
@@ -150,25 +146,6 @@ def nr_boundary(op, n_angles=512):
     return BoundaryResult(thetas=thetas, support=support, points=points)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, lo, hi, iters=80):
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return (lo + hi) / 2.0
-
-
 # the coarse radius pass solves every stride-th grid angle, stride at most
 # this and at most n_angles // 8, so every coarse arc spans at most pi/4
 _COARSE_STRIDE = 8
@@ -178,90 +155,88 @@ def _wedge_bounds(h0, h1, gap, eps):
     """Upper bounds on h over arcs of width gap < pi between solved angles.
 
     The supporting lines Re(e^{-i t0} z) = h0 and Re(e^{-i t1} z) = h1 meet at
-    the vertex z* of the wedge that holds W(A); on [t0, t1] the support
-    function is at most Re(e^{-i t} z*) <= |z*|, and with t0 = 0
+    the vertex z* of the wedge that holds W(A), so on [t0, t1] the support
+    function is at most Re(e^{-i t} z*) = |z*| cos(t - arg z*).  With t0 = 0
+    and g = t1 - t0,
 
-        |z*| = sqrt(h0^2 + h1^2 - 2 h0 h1 cos g) / sin g,   g = t1 - t0.
+        |z*| = sqrt(h0^2 + h1^2 - 2 h0 h1 cos g) / sin g,
 
-    The radicand is evaluated as (h0 - h1)^2 + 4 h0 h1 sin^2(g/2), which
-    cannot round below zero for g <= 2 pi/3.  The vertex is linear in
-    (h0, h1) with each partial derivative of modulus 1/sin g, so eigenvalues
-    computed within eps move |z*| by at most 2 eps/sin g; one more eps
-    covers a computed value on the arc sitting above its exact h, and
-    4u|z*| the rounding of the formula itself.
+    and arg z* lies in [0, g] exactly when h1 >= h0 cos g and h0 >= h1 cos g;
+    otherwise the maximum over the arc sits at an end, where it is h0 or h1.
+    Either way it is at least max(h0, h1), which is kept when |z*|
+    underflows.  The radicand is evaluated as (h0 - h1)^2 + 4 h0 h1
+    sin^2(g/2), which cannot round below zero for g <= 2 pi/3.  The vertex is
+    linear in (h0, h1) with each partial derivative of modulus 1/sin g, so
+    eigenvalues computed within eps move the maximum by at most 2 eps/sin g;
+    one more eps covers a computed value on the arc sitting above its exact h,
+    and 4u|z*| the rounding of the formula and of the end-or-vertex decision.
     """
     v = np.sqrt((h0 - h1) ** 2 + 4.0 * h0 * h1 * np.sin(gap / 2.0) ** 2) / np.sin(gap)
-    return v + (1.0 + 2.0 / np.sin(gap)) * eps + 4.0 * UNIT_ROUNDOFF * np.abs(v)
-
-
-def _radius_sweep(a, n_angles):
-    """Grid values of h, coarse to fine, and an upper enclosure of max h.
-
-    The coarse pass solves every stride-th angle; the arc from the last
-    coarse angle wraps to angle 0.  Eigenvalues of the Hermitian parts come
-    back within eps = 16 n u ||A||_F of the exact ones (see
-    :func:`~orbitforge.operators.spectral_error_bound`), so an arc whose
-    wedge bound (see :func:`_wedge_bounds`) lies below the third-largest
-    coarse value holds no computed grid value that could rank among the
-    three largest, and its interior angles keep -inf.
-    Every other arc is solved at every grid angle.  The enclosure is the
-    largest wedge bound over the grid steps of solved arcs: a skipped arc's
-    bound lies below the third-largest coarse value, and the step next to
-    the largest coarse value already bounds that value from above, so the
-    skipped arcs cannot raise the maximum.  It bounds w(T) and every
-    computed h from above.
-    """
-    thetas = _angle_grid(n_angles)
-    n_angles = len(thetas)
-    stride = max(1, min(_COARSE_STRIDE, n_angles // 8))
-    eps = spectral_error_bound(a)
-
-    values = np.full(n_angles, -np.inf)
-    coarse = np.arange(0, n_angles, stride)
-    values[coarse] = _support_values(a, thetas[coarse])
-    ends = np.append(coarse[1:], n_angles)
-    arcs = _wedge_bounds(
-        values[coarse], values[ends % n_angles], (ends - coarse) * (TWO_PI / n_angles), eps
-    )
-    keep = arcs >= np.partition(values[coarse], -3)[-3]
-
-    grid = np.arange(n_angles)
-    solved = grid[keep[grid // stride]]
-    fine = solved[solved % stride != 0]
-    values[fine] = _support_values(a, thetas[fine])
-    steps = _wedge_bounds(values[solved], values[(solved + 1) % n_angles], TWO_PI / n_angles, eps)
-    return thetas, values, float(np.max(steps))
+    inside = (h1 >= h0 * np.cos(gap)) & (h0 >= h1 * np.cos(gap))
+    top = np.maximum(np.maximum(h0, h1), np.where(inside, v, -np.inf))
+    return top + (1.0 + 2.0 / np.sin(gap)) * eps + 4.0 * UNIT_ROUNDOFF * np.abs(v)
 
 
 def numerical_radius(op, n_angles=720, with_upper=False):
-    """max_theta h(theta) with golden-section polish around the grid peaks.
+    """max_theta h(theta) by a best-first search on Johnson's wedge bounds.
 
-    Returns (w, theta); with ``with_upper`` also the enclosure w(T) <= upper
-    from the wedge bounds of the coarse-to-fine grid.
+    The search starts from every stride-th angle of the ``n_angles`` grid
+    (at least 8 of them).  Each round splits at its midpoint every arc whose
+    wedge bound (:func:`_wedge_bounds`) lies in the upper half of
+    [best h, top bound], solving all the midpoints in one stacked call.  It
+    stops once the arc holding the top bound is narrower than 2 g_min, below
+    which the 2 eps/sin g margin outgrows the wedge excess (about h'' g^2/8),
+    or once another round would take more than ``n_angles`` solves.  One
+    parabolic step through the best angle and its two neighbours, within the
+    same cap, then polishes the lower end.
+
+    Returns (w, theta) with w = h(theta) a computed value; with
+    ``with_upper`` also the top wedge bound left, an upper enclosure of w(T)
+    and of every computed h.
     """
     a = _as_dense(op).matrix
-    thetas, values, upper = _radius_sweep(a, n_angles)
-    step = TWO_PI / len(thetas)
-    best_w = -np.inf
-    best_t = 0.0
-    # polish the three best grid peaks; h can have several near-equal lobes
-    for idx in np.argsort(values)[-3:]:
-        t0 = thetas[idx]
-        t_star = _golden_max(lambda t: _support_value(a, t), t0 - step, t0 + step)
-        w = _support_value(a, t_star)
-        if w > best_w:
-            best_w, best_t = w, t_star
+    grid = _angle_grid(n_angles)
+    n_angles = len(grid)
+    thetas = grid[:: max(1, min(_COARSE_STRIDE, n_angles // 8))]
+    eps = spectral_error_bound(a)
+    g_min = 4.0 * (16.0 * len(a) * UNIT_ROUNDOFF) ** (1.0 / 3.0)  # 4 (eps/||A||_F)^(1/3)
+    values = _support_values(a, thetas)
+    while True:
+        gaps = np.diff(thetas, append=TWO_PI)
+        bounds = _wedge_bounds(values, np.roll(values, -1), gaps, eps)
+        best, top = values.max(), bounds.max()
+        split = np.flatnonzero(bounds >= (best + top) / 2.0)
+        room = n_angles - len(thetas)
+        if gaps[np.argmax(bounds)] < 2.0 * g_min or not 0 < len(split) <= room:
+            break
+        mids = thetas[split] + gaps[split] / 2.0
+        thetas = np.insert(thetas, split + 1, mids)
+        values = np.insert(values, split + 1, _support_values(a, mids))
+
+    k = int(np.argmax(values))
+    w, theta = float(values[k]), float(thetas[k])
+    if len(thetas) < n_angles:
+        # vertex of the parabola through the best angle and its neighbours
+        d0, d1 = (theta - thetas[k - 1]) % TWO_PI, gaps[k]
+        f0, f1 = w - values[k - 1], w - values[(k + 1) % len(values)]
+        den = d0 * f1 + d1 * f0
+        if den > 0.0:
+            t = theta + (d1 * d1 * f0 - d0 * d0 * f1) / (2.0 * den)
+            h = float(_support_values(a, (t,))[0])
+            if h > w:
+                w, theta = h, t
     if with_upper:
-        return best_w, best_t % TWO_PI, upper
-    return best_w, best_t % TWO_PI
+        return w, theta % TWO_PI, float(top)
+    return w, theta % TWO_PI
 
 
 def radius_norm_bounds(op, n_angles=720):
     """Two-sided comparison w(T) <= ||T|| <= 2 w(T) for dense T, by enclosures.
 
-    ``radius`` is the polished grid maximum, a computed h(theta), so radius -
-    eps <= w(T) with eps from :func:`~orbitforge.operators.spectral_error_bound`;
-    ``radius_upper`` bounds w(T) from above, and [``norm_lower``,
+    ``radius`` is the lower end of :func:`numerical_radius`, a computed
+    h(theta), so radius - eps <= w(T) with eps from
+    :func:`~orbitforge.operators.spectral_error_bound`; ``radius_upper`` is
+    its top wedge bound, so w(T) <= radius_upper, and [``norm_lower``,
     ``norm_upper``] encloses ||T|| (``norm_bound`` is the upper end).  Each
     verdict means "not refuted by the enclosures": ``lower_holds`` is
     radius - eps <= norm_upper, ``upper_holds`` is norm_lower <= 2

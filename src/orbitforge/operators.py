@@ -42,9 +42,6 @@ class ConstantWeights:
     def sup_modulus(self):
         return abs(self.value)
 
-    def constant_modulus(self):
-        return abs(self.value)
-
     def modulus_limits(self):
         m = abs(self.value)
         return (m, m)
@@ -64,12 +61,6 @@ class PeriodicWeights:
 
     def sup_modulus(self):
         return float(np.max(np.abs(self.values)))
-
-    def constant_modulus(self):
-        mods = np.abs(self.values)
-        if np.max(mods) - np.min(mods) == 0.0:
-            return float(mods[0])
-        return None
 
     def modulus_limits(self):
         return None
@@ -106,9 +97,6 @@ class FunctionWeights:
 
     def sup_modulus(self):
         return self._sup
-
-    def constant_modulus(self):
-        return None
 
     def modulus_limits(self):
         if self.limit_neg is None or self.limit_pos is None:
@@ -309,9 +297,6 @@ class BilateralShift:
     def norm_bound(self):
         return 1.0 if self.weights is None else self.weights.sup_modulus()
 
-    def is_unitary(self):
-        return self.weights is None or self.weights.constant_modulus() == 1.0
-
     def to_json(self):
         w = None if self.weights is None else self.weights.to_json()
         return {"kind": self.kind, "params": {"weights": w}}
@@ -342,9 +327,6 @@ class UnilateralShift:
 
     def norm_bound(self):
         return 1.0 if self.weights is None else self.weights.sup_modulus()
-
-    def is_unitary(self):
-        return False
 
     def to_json(self):
         w = None if self.weights is None else self.weights.to_json()
@@ -378,9 +360,6 @@ class DiagonalUnitary:
 
     def norm_bound(self):
         return 1.0
-
-    def is_unitary(self):
-        return True
 
     def to_json(self):
         return {
@@ -439,9 +418,6 @@ class MultiplicationGrid:
     def norm_bound(self):
         return 1.0
 
-    def is_unitary(self):
-        return True
-
     def to_json(self):
         return {
             "kind": self.kind,
@@ -495,10 +471,6 @@ class DenseOperator:
         """Upper bound for the spectral norm: the top of :meth:`norm_enclosure`."""
         return self.norm_enclosure()[1]
 
-    def is_unitary(self):
-        eye = np.eye(self.dim)
-        return bool(np.allclose(self.matrix.conj().T @ self.matrix, eye, atol=1e-12))
-
     def to_json(self):
         return {
             "kind": self.kind,
@@ -541,9 +513,6 @@ class OperatorPower:
 
     def norm_bound(self):
         return self.base.norm_bound() ** self.exponent
-
-    def is_unitary(self):
-        return self.base.is_unitary()
 
     def to_json(self):
         return {
@@ -616,20 +585,6 @@ def apply_power(op, v, n):
 def power_forms(op, powers, x):
     """The forms <T^p x, x> for p in ``powers``, as one column of cross_gram."""
     return cross_gram([apply_power(op, x, p) for p in powers], [x])[:, 0]
-
-
-def same_space(ops):
-    """True when all operators act on one index set (and dimension)."""
-    ops = list(ops)
-    if not ops:
-        return True
-    first = (ops[0].index_set, ops[0].dim)
-    return all((op.index_set, op.dim) == first for op in ops)
-
-
-def require_same_space(ops):
-    if not same_space(ops):
-        raise DimensionMismatchError("operators act on different spaces")
 
 
 # ---------------------------------------------------------------------------

@@ -229,9 +229,15 @@ class WindowVector:
         return WindowVector(self.indices[mask], self.values[mask], _checked=True)
 
     def scale_by(self, factor_fn):
-        """Multiply each value by factor_fn(indices) (vectorized, exact length)."""
-        factors = np.asarray(factor_fn(self.indices), np.complex128)
-        return WindowVector(self.indices, self.values * factors, _checked=True)
+        """Multiply each value by factor_fn(indices) (vectorized, exact length).
+
+        Exact zeros are dropped; when none are, the index array is shared.
+        """
+        values = self.values * np.asarray(factor_fn(self.indices), np.complex128)
+        keep = values != 0
+        if keep.all():
+            return WindowVector(self.indices, values, _checked=True)
+        return WindowVector(self.indices[keep], values[keep], _checked=True)
 
     # -- comparison -------------------------------------------------------
 
@@ -280,8 +286,7 @@ def combine(terms):
     in order into one accumulator that starts at -0.0, so an entry written
     by one term keeps that term's bits.  The accumulator's coordinates are the joint index
     span when that is at most twice the summed support, else the distinct
-    indices of the merged supports.  Either way exact zeros are dropped,
-    also those that :meth:`WindowVector.scale_by` stores.
+    indices of the merged supports.  Either way exact zeros are dropped.
     """
     terms = [(c, v) for c, v in terms if len(v)]
     if not terms:

@@ -144,43 +144,11 @@ def test_numerical_radius_accepts_dense_operator_wrapper():
 
 
 # ---------------------------------------------------------------------------
-# coarse-to-fine radius sweep against the per-angle loop
+# adaptive wedge search against a dense angle sample
 
 
 _U = 2.0 ** -53
 _GRIDS = (3, 5, 13, 97, 120, 180, 240, 720, 1000)
-
-
-def _looped_support(a, t):
-    h = (np.exp(-1j * t) * a + np.exp(1j * t) * a.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(h)[-1])
-
-
-def _looped_radius(a, n_angles=720):
-    """The full per-angle sweep with golden polish of the three top peaks."""
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def golden(lo, hi):
-        x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
-        f1, f2 = _looped_support(a, x1), _looped_support(a, x2)
-        for _ in range(80):
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + g * (hi - lo)
-                f2 = _looped_support(a, x2)
-            else:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - g * (hi - lo)
-                f1 = _looped_support(a, x1)
-        return (lo + hi) / 2.0
-
-    thetas = 2.0 * math.pi * np.arange(n_angles) / n_angles
-    values = np.array([_looped_support(a, t) for t in thetas])
-    step = 2.0 * math.pi / n_angles
-    best = -np.inf
-    for idx in np.argsort(values)[-3:]:
-        best = max(best, _looped_support(a, golden(thetas[idx] - step, thetas[idx] + step)))
-    return best
 
 
 def _jordan(n):
@@ -204,29 +172,6 @@ def _margin(n, frob, gap, vertex):
     return (1.0 + 2.0 / math.sin(gap)) * eps + 4.0 * _U * abs(vertex)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    n=st.integers(2, 33),
-    n_angles=st.sampled_from(_GRIDS),
-    seed=st.integers(0, 2 ** 16),
-)
-def test_pruned_sweep_matches_looped_sweep_bitwise(n, n_angles, seed):
-    a = _random_matrix(n, seed)
-    w, _ = numerical_radius(a, n_angles)
-    assert w == _looped_radius(a, n_angles)
-
-
-def test_pruned_sweep_matches_looped_sweep_on_structured_matrices():
-    for a in _structured():
-        for n_angles in _GRIDS:
-            w, _ = numerical_radius(a, n_angles)
-            assert w == _looped_radius(a, n_angles), (a, n_angles)
-    # a 1x1 stack of one angle may round the product differently by an ulp
-    a = np.array([[0.3 - 1.2j]])
-    w, _ = numerical_radius(a)
-    assert abs(w - _looped_radius(a)) <= 4.0 * _U * abs(a[0, 0])
-
-
 def _stacked_support(a, thetas):
     t = np.asarray(thetas, float)[..., None, None]
     return np.linalg.eigvalsh((np.exp(-1j * t) * a + np.exp(1j * t) * a.conj().T) / 2.0)[..., -1]
@@ -234,6 +179,7 @@ def _stacked_support(a, thetas):
 
 def test_wedge_bound_dominates_the_support_function_on_every_arc():
     mats = [_random_matrix(n, 200 + n) for n in (2, 6, 16)] + _structured()
+    rng = _rng(3)
     for a in mats:
         eps = 16.0 * len(a) * _U * float(np.linalg.norm(a))
         for n_angles, stride in ((720, 8), (180, 8), (13, 1)):
@@ -246,6 +192,14 @@ def test_wedge_bound_dominates_the_support_function_on_every_arc():
             )
             inside = k0[:, None] * step + gap[:, None] * np.arange(1, 51) / 51.0
             assert np.all(_stacked_support(a, inside).max(axis=1) <= bound)
+        # off-grid arcs, widths in (0, pi/4] down to below the search's g_min
+        t0 = 2.0 * math.pi * rng.random(40)
+        gap = math.pi / 4.0 * 10.0 ** (-6.0 * rng.random(40))
+        bound = nrange._wedge_bounds(
+            _stacked_support(a, t0), _stacked_support(a, t0 + gap), gap, eps
+        )
+        inside = t0[:, None] + gap[:, None] * np.arange(1, 51) / 51.0
+        assert np.all(_stacked_support(a, inside).max(axis=1) <= bound)
 
 
 def _count_solves(monkeypatch):
@@ -278,18 +232,56 @@ def test_pruned_sweep_solves_few_angles_on_a_random_matrix(monkeypatch):
     assert 0 < counts["matrices"] < 400
 
 
-def test_disk_like_range_still_solves_every_grid_angle(monkeypatch):
-    solved = []
-    support_values = nrange._support_values
+@pytest.mark.parametrize("n_angles", [13, 97, 720])
+def test_disk_like_ranges_stay_within_the_solve_cap(monkeypatch, n_angles):
+    # h is constant on a disc, so nothing prunes and the cap ends the search
+    for n in (2, 5):
+        counts = _count_solves(monkeypatch)
+        numerical_radius(_jordan(n), n_angles)
+        assert counts["matrices"] <= n_angles
 
-    def spy(a, thetas):
-        solved.extend(np.asarray(thetas, float).tolist())
-        return support_values(a, thetas)
 
-    monkeypatch.setattr(nrange, "_support_values", spy)
-    numerical_radius(_jordan(5), 720)
-    grid = 2.0 * math.pi * np.arange(720) / 720
-    assert set(grid.tolist()) <= set(solved)
+def test_normal_matrix_radius_is_enclosed_tightly():
+    # at a polygon vertex only the arc holding arg(lambda) keeps the top bound
+    rng = _rng(11)
+    diag = np.diag(np.exp(2j * math.pi * rng.random(6)) * rng.random(6))
+    out = radius_norm_bounds(diag)
+    assert out["radius"] <= np.max(np.abs(diag)) <= out["radius_upper"]
+    assert out["radius_upper"] - out["radius"] <= 1e-8
+
+
+def _sampled_radius(a):
+    """Dense-sample oracle: max h over 2000 angles, then over 1001 angles
+    spanning the two grid steps around each of the three best samples."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, 2000, endpoint=False)
+    values = _stacked_support(a, thetas)
+    best = float(values.max())
+    for k in np.argsort(values)[-3:]:
+        fine = thetas[k] + np.linspace(-1.0, 1.0, 1001) * (2.0 * math.pi / 2000)
+        best = max(best, float(_stacked_support(a, fine).max()))
+    return best
+
+
+_MATRICES = st.one_of(
+    st.builds(lambda n, seed: (_random_matrix(n, seed), True), st.integers(2, 33),
+              st.integers(0, 2 ** 16)),
+    st.sampled_from([(a, False) for a in _structured()]),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_MATRICES, n_angles=st.sampled_from(_GRIDS))
+def test_radius_enclosure_against_a_dense_sample(case, n_angles):
+    a, random = case
+    out = radius_norm_bounds(a)
+    sample = _sampled_radius(a)
+    norm = np.linalg.norm(a, 2)
+    assert out["radius"] >= sample - 1e-12 * norm
+    assert out["radius_upper"] >= sample
+    if random:
+        assert out["radius_upper"] - out["radius"] <= 1e-7 * norm
+    # a coarser cap may leave the lower end short, never the upper one
+    assert radius_norm_bounds(a, n_angles)["radius_upper"] >= sample
 
 
 def test_radius_upper_encloses_the_radius():
@@ -311,6 +303,14 @@ def test_radius_upper_dominates_a_dense_angle_sample():
         h = (np.exp(-1j * thetas) * a + np.exp(1j * thetas) * a.conj().T) / 2.0
         sample = float(np.max(np.linalg.eigvalsh(h)[:, -1]))
         assert radius_norm_bounds(a)["radius_upper"] >= sample
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e200])
+def test_radius_search_ends_when_the_wedge_arithmetic_under_or_overflows(scale):
+    a = _random_matrix(5, 0)
+    w, _ = numerical_radius(a)
+    w_scaled, _ = numerical_radius(a * scale)
+    assert abs(w_scaled / scale - w) <= 1e-5 * w
 
 
 def test_boundary_matches_the_looped_eigh():

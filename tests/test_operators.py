@@ -29,7 +29,6 @@ from orbitforge.operators import (
     compress,
     operator_from_json,
     power_tuple,
-    require_same_space,
     spectral_error_bound,
 )
 from orbitforge.vectors import WindowVector, inner
@@ -276,12 +275,6 @@ def test_compress_matches_dense_oracle():
     b = np.column_stack([v.to_dense(5) for v in sub.basis])
     want = b.conj().T @ a @ b
     np.testing.assert_allclose(compress(op, sub), want, atol=1e-10)
-
-
-def test_require_same_space():
-    require_same_space([BilateralShift(), BilateralShift()])
-    with pytest.raises(DimensionMismatchError):
-        require_same_space([BilateralShift(), UnilateralShift()])
 
 
 def test_operator_json_round_trip():

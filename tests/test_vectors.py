@@ -52,6 +52,13 @@ def test_exact_zeros_pruned_inexact_kept():
     assert v[1] == 1e-300
 
 
+def test_scale_by_drops_exact_zeros_and_shares_indices_otherwise():
+    u = entries((0, 1.0), (3, -2j), (7, 0.5))
+    assert u.scale_by(lambda idx: np.zeros(len(idx))) == WindowVector.zero()
+    assert u.scale_by(lambda idx: (idx != 3).astype(float)) == entries((0, 1.0), (7, 0.5))
+    assert u.scale_by(lambda idx: np.full(len(idx), 2.0)).indices is u.indices
+
+
 def test_strictly_increasing_required():
     with pytest.raises(DegenerateInputError):
         WindowVector([1, 1], [1.0, 2.0])
@@ -217,7 +224,7 @@ def support_pairs(draw):
     if relation == "empty":
         v = WindowVector.zero()
     elif relation == "same":
-        factors = values_for(draw, len(u))
+        factors = values_for(draw, len(u), nonzero)
         v = u.scale_by(lambda idx: factors)
         assert v.indices is u.indices
     elif relation == "copy":
