@@ -18,24 +18,31 @@ minus the k-th target reduces to the literal zero element, and the total mass
 to the literal one, so exactness is a syntactic fact checked by normal-form
 comparison, not a float being small.
 
-Elements are dicts mapping monomials to Gaussian-rational coefficients;
-monomials map symbols to integer exponents (R_s exponents may be negative,
-E_s exponents stay in 0..s-1 after reduction).  Rewriting terminates because
-each application strictly lowers the E_s exponent and only introduces symbols
-of smaller stage index.
+Elements are dicts mapping monomials to Gaussian-rational coefficients, each
+a :class:`QI` held as ints (a, b, d) for (a + b*i)/d in a normal form unique
+to its value; monomials map symbols to integer exponents (R_s exponents may be
+negative, E_s exponents stay in 0..s-1 after reduction).  Rewriting
+terminates because each application strictly lowers the E_s exponent and only
+introduces symbols of smaller stage index.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DegenerateInputError
 
 
 class QI:
-    """Gaussian rational a + b*i with exact Fraction components."""
+    """Gaussian rational (a + b*i)/d as ints with d > 0 and gcd(a, b, d) == 1.
 
-    __slots__ = ("re", "im")
+    That normal form is unique, so == compares the fields and zero is a == b
+    == 0.  Input is read through ``Fraction`` (NaN and infinities refused);
+    ``re``, ``im`` and :meth:`modulus_sq` are ``Fraction`` values.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, complex):
@@ -43,69 +50,81 @@ class QI:
                 raise DegenerateInputError("complex input already carries both parts")
             re, im = re.real, re.imag
         try:
-            self.re = Fraction(re)
-            self.im = Fraction(im)
+            re, im = Fraction(re), Fraction(im)
         except (ValueError, OverflowError) as exc:  # NaN, infinity, bad literal
             raise DegenerateInputError(f"not a finite rational: {exc}") from None
+        # over the lcm of two reduced denominators no prime divides all three
+        self.d = math.lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (self.d // re.denominator)
+        self.b = im.numerator * (self.d // im.denominator)
+
+    re = property(lambda self: Fraction(self.a, self.d))
+    im = property(lambda self: Fraction(self.b, self.d))
 
     def __add__(self, other):
         other = _as_qi(other)
-        return QI(self.re + other.re, self.im + other.im)
+        a, b, d = self.a * other.d, self.b * other.d, self.d * other.d
+        return _qi(a + other.a * self.d, b + other.b * self.d, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_qi(other)
-        return QI(self.re - other.re, self.im - other.im)
+        return self + -_as_qi(other)
 
     def __rsub__(self, other):
         return _as_qi(other) - self
 
     def __mul__(self, other):
         other = _as_qi(other)
-        return QI(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _qi(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
         other = _as_qi(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        a, b, c, e, f = self.a, self.b, other.a, other.b, other.d
+        if c == 0 and e == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return QI(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        return _qi((a * c + b * e) * f, (b * c - a * e) * f, self.d * (c * c + e * e))
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return _qi(-self.a, -self.b, self.d)
 
     def __eq__(self, other):
         try:
             other = _as_qi(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.a != 0 or self.b != 0
 
     def modulus_sq(self):
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def to_complex(self):
-        return complex(self.re, self.im)
+        # int / int rounds correctly, as float(Fraction) does; + 0.0 turns a tiny
+        # negative imaginary part's -0.0 into complex(Fraction, Fraction)'s 0.0
+        return complex(self.a / self.d, self.b / self.d + 0.0)
 
     __complex__ = to_complex
 
     def __repr__(self):
         return f"QI({self.re}, {self.im})"
+
+
+def _qi(a, b, d):
+    """The QI (a + b*i)/d for ints a, b and d > 0, in normal form."""
+    g = math.gcd(a, b, d)
+    q = object.__new__(QI)
+    q.a, q.b, q.d = a // g, b // g, d // g
+    return q
 
 
 def _as_qi(x):

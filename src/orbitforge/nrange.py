@@ -177,6 +177,17 @@ def _wedge_bounds(h0, h1, gap, eps):
     return top + (1.0 + 2.0 / np.sin(gap)) * eps + 4.0 * UNIT_ROUNDOFF * np.abs(v)
 
 
+def _safe_scale(a):
+    """1.0 when the largest real or imaginary part of A is 0 or lies in
+    [2^-401, 2^400), where ||A||_F, eps and the wedge formula neither underflow
+    nor overflow; otherwise a power of two that takes it into [1/2, 1)."""
+    size = float(max(np.max(np.abs(a.real)), np.max(np.abs(a.imag))))
+    e = math.frexp(size)[1]
+    if size == 0.0 or -400 <= e <= 400:
+        return 1.0
+    return math.ldexp(1.0, min(-e, 1000))  # a subnormal A gets 2^1000
+
+
 def numerical_radius(op, n_angles=720, with_upper=False):
     """max_theta h(theta) by a best-first search on Johnson's wedge bounds.
 
@@ -184,17 +195,23 @@ def numerical_radius(op, n_angles=720, with_upper=False):
     (at least 8 of them).  Each round splits at its midpoint every arc whose
     wedge bound (:func:`_wedge_bounds`) lies in the upper half of
     [best h, top bound], solving all the midpoints in one stacked call.  It
-    stops once the arc holding the top bound is narrower than 2 g_min, below
-    which the 2 eps/sin g margin outgrows the wedge excess (about h'' g^2/8),
-    or once another round would take more than ``n_angles`` solves.  One
-    parabolic step through the best angle and its two neighbours, within the
-    same cap, then polishes the lower end.
+    stops once no bound exceeds the best h, once the arc holding the top
+    bound is narrower than 2 g_min, below which the 2 eps/sin g margin
+    outgrows the wedge excess (about h'' g^2/8), or once another round would
+    take more than ``n_angles`` solves.  One parabolic step through the best
+    angle and its two neighbours, within the same cap, then polishes the
+    lower end.  A matrix outside the range of :func:`_safe_scale` is searched
+    as the exact power-of-two multiple it gives, and w and the bound scaled
+    back.
 
     Returns (w, theta) with w = h(theta) a computed value; with
     ``with_upper`` also the top wedge bound left, an upper enclosure of w(T)
     and of every computed h.
     """
     a = _as_dense(op).matrix
+    scale = _safe_scale(a)
+    if scale != 1.0:
+        a = a * scale
     grid = _angle_grid(n_angles)
     n_angles = len(grid)
     thetas = grid[:: max(1, min(_COARSE_STRIDE, n_angles // 8))]
@@ -207,7 +224,7 @@ def numerical_radius(op, n_angles=720, with_upper=False):
         best, top = values.max(), bounds.max()
         split = np.flatnonzero(bounds >= (best + top) / 2.0)
         room = n_angles - len(thetas)
-        if gaps[np.argmax(bounds)] < 2.0 * g_min or not 0 < len(split) <= room:
+        if top <= best or gaps[np.argmax(bounds)] < 2.0 * g_min or not 0 < len(split) <= room:
             break
         mids = thetas[split] + gaps[split] / 2.0
         thetas = np.insert(thetas, split + 1, mids)
@@ -226,8 +243,8 @@ def numerical_radius(op, n_angles=720, with_upper=False):
             if h > w:
                 w, theta = h, t
     if with_upper:
-        return w, theta % TWO_PI, float(top)
-    return w, theta % TWO_PI
+        return w / scale, theta % TWO_PI, float(top) / scale
+    return w / scale, theta % TWO_PI
 
 
 def radius_norm_bounds(op, n_angles=720):

@@ -1,4 +1,6 @@
 import cmath
+import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from orbitforge.errors import (
     DomainError,
     ResolutionError,
 )
+from orbitforge import exactring, moments
 from orbitforge.exactring import QI, Ring
 from orbitforge.moments import (
     AtomicMeasure,
@@ -208,6 +211,165 @@ def test_ring_mirror_evaluation():
     val = {("R", 3): abs(mirror), ("E", 3): cmath.exp(1j * cmath.phase(mirror) / 3)}
     got = (ring.symbol("R", 3) * ring.symbol("E", 3, 3)).evaluate(val)
     assert got == pytest.approx(mirror, abs=1e-14)
+
+
+# -- QI against the two-Fraction reference ------------------------------------
+
+
+class FractionQI:
+    """Reference: the Gaussian rational as two Fractions, one per part."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        if isinstance(re, complex):
+            if im != 0:
+                raise DegenerateInputError("complex input already carries both parts")
+            re, im = re.real, re.imag
+        try:
+            self.re = Fraction(re)
+            self.im = Fraction(im)
+        except (ValueError, OverflowError) as exc:
+            raise DegenerateInputError(f"not a finite rational: {exc}") from None
+
+    def __add__(self, other):
+        other = _as_reference(other)
+        return FractionQI(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _as_reference(other)
+        return FractionQI(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return _as_reference(other) - self
+
+    def __mul__(self, other):
+        other = _as_reference(other)
+        return FractionQI(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _as_reference(other)
+        d = other.re * other.re + other.im * other.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return FractionQI(
+            (self.re * other.re + self.im * other.im) / d,
+            (self.im * other.re - self.re * other.im) / d,
+        )
+
+    def __neg__(self):
+        return FractionQI(-self.re, -self.im)
+
+    def __eq__(self, other):
+        try:
+            other = _as_reference(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def modulus_sq(self):
+        return self.re * self.re + self.im * self.im
+
+    def to_complex(self):
+        return complex(self.re, self.im)
+
+    __complex__ = to_complex
+
+    def __repr__(self):
+        return f"QI({self.re}, {self.im})"
+
+
+def _as_reference(x):
+    if isinstance(x, FractionQI):
+        return x
+    if isinstance(x, complex):
+        return FractionQI(x.real, x.imag)
+    return FractionQI(x)
+
+
+def _complex_bits(q):
+    try:
+        z = q.to_complex()
+    except OverflowError:
+        return "overflow"
+    return struct.pack("<dd", z.real, z.imag)
+
+
+# zero, negatives, shared and coprime denominators, and a huge one whose
+# parts round to subnormals and signed zeros
+gaussian_parts = st.tuples(
+    st.integers(-10 ** 6, 10 ** 6) | st.just(0),
+    st.sampled_from([1, 2, 3, 4, 6, 7, 12, 35, 401, 2 ** 61 - 1, 10 ** 330]),
+)
+
+
+@given(st.lists(gaussian_parts, min_size=4, max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_qi_agrees_with_the_two_fraction_reference(parts):
+    (a, p), (b, q), (c, r), (e, t) = parts
+    x, y = QI(Fraction(a, p), Fraction(b, q)), QI(Fraction(c, r), Fraction(e, t))
+    rx, ry = FractionQI(Fraction(a, p), Fraction(b, q)), FractionQI(Fraction(c, r), Fraction(e, t))
+    pairs = [(x, rx), (y, ry), (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (-x, -rx)]
+    if ry:
+        pairs.append((x / y, rx / ry))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    for z, rz in pairs:
+        assert (z.re, z.im) == (rz.re, rz.im)
+        assert bool(z) == bool(rz)
+        assert z.modulus_sq() == rz.modulus_sq()
+        assert repr(z) == repr(rz)
+        assert _complex_bits(z) == _complex_bits(rz)
+        assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+    assert (x == y) == (rx == ry)
+    # one value reached two ways: the normal form, and so the hash, agree
+    twin = QI(Fraction(a * 6, p * 6), Fraction(b, q)) + y - y
+    assert twin == x and hash(twin) == hash(x)
+    with pytest.MonkeyPatch.context() as mp:
+        made = []
+        new = Fraction.__new__
+        mp.setattr(Fraction, "__new__", lambda cls, *args, **kw: made.append(args) or new(cls, *args, **kw))
+        x + y, x * y
+    assert made == []
+
+
+def _exact_atoms(qi):
+    """60 seeded exact matches with targets drawn as in acceptance criterion 1."""
+    rng = np.random.default_rng(13)
+    out = []
+    for i in range(60):
+        n, rho = 1 + i % 6, (Fraction(1, 2), Fraction(1), Fraction(2))[(i // 6) % 3]
+        r = admissible_radius_exact(rho, n)
+        targets = [
+            qi(Fraction(int(rng.integers(-99, 100)), 401) * r, Fraction(int(rng.integers(-99, 100)), 401) * r)
+            for _ in range(n)
+        ]
+        res = circle_moment_match(targets, rho=rho, mode="exact")
+        out.append((res.measure.positions.tobytes(), res.measure.weights.tobytes()))
+    return out
+
+
+def test_exact_matches_are_bit_identical_to_the_fraction_reference(monkeypatch):
+    atoms = _exact_atoms(QI)
+    for module in (exactring, moments):
+        monkeypatch.setattr(module, "QI", FractionQI)
+    monkeypatch.setattr(exactring, "QI_ZERO", FractionQI(0))
+    monkeypatch.setattr(exactring, "QI_ONE", FractionQI(1))
+    assert _exact_atoms(FractionQI) == atoms
 
 
 # -- harmonic measure route -------------------------------------------------

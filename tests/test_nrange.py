@@ -309,8 +309,26 @@ def test_radius_upper_dominates_a_dense_angle_sample():
 def test_radius_search_ends_when_the_wedge_arithmetic_under_or_overflows(scale):
     a = _random_matrix(5, 0)
     w, _ = numerical_radius(a)
-    w_scaled, _ = numerical_radius(a * scale)
-    assert abs(w_scaled / scale - w) <= 1e-5 * w
+    out = radius_norm_bounds(a * scale)
+    assert out["radius"] <= out["radius_upper"] < math.inf
+    assert abs(out["radius"] / scale - w) <= 1e-12 * w
+
+
+def test_subnormal_matrix_is_searched_at_a_normal_scale():
+    # a * 2^1000 is exact for subnormal entries, so both calls run one search
+    a = _random_matrix(5, 0) * 1e-320
+    big = radius_norm_bounds(a * 2.0 ** 1000)
+    out = radius_norm_bounds(a)
+    assert out["radius"] == big["radius"] / 2.0 ** 1000
+    assert 0.0 < out["radius"] <= out["radius_upper"]
+
+
+def test_zero_matrix_radius_stops_after_the_coarse_pass(monkeypatch):
+    # every wedge bound equals the best h = 0, so no split can gain anything
+    counts = _count_solves(monkeypatch)
+    out = radius_norm_bounds(np.zeros((3, 3)))
+    assert out["radius"] == out["radius_upper"] == 0.0
+    assert counts["matrices"] <= 90
 
 
 def test_boundary_matches_the_looped_eigh():
