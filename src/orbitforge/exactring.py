@@ -135,7 +135,6 @@ def _as_qi(x):
     return QI(x)
 
 
-QI_ZERO = QI(0)
 QI_ONE = QI(1)
 
 # monomial: tuple of ((kind, stage), exponent), sorted by symbol
@@ -215,11 +214,22 @@ class Ring:
                 for m2, c2 in power.items():
                     self._reduce_term(_mono_mul(rest, m2), coeff * c2, out)
                 return
-        new = out.get(mono, QI_ZERO) + coeff
-        if new:
-            out[mono] = new
-        else:
-            out.pop(mono, None)
+        _accumulate(out, mono, coeff)
+
+
+def _accumulate(out, mono, coeff):
+    """out[mono] += coeff, storing coeff itself for a new monomial and
+    dropping the monomial when the sum is zero."""
+    old = out.get(mono)
+    if old is None:
+        if coeff:
+            out[mono] = coeff
+        return
+    new = old + coeff
+    if new:
+        out[mono] = new
+    else:
+        del out[mono]
 
 
 class RingElement:
@@ -250,11 +260,7 @@ class RingElement:
         other = self._coerce(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            new = out.get(mono, QI_ZERO) + coeff
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
+            _accumulate(out, mono, coeff)
         return RingElement(self.ring, out)
 
     __radd__ = __add__
@@ -275,12 +281,7 @@ class RingElement:
             nxt = {}
             for m1, c1 in result.items():
                 for m2, c2 in self.terms.items():
-                    mono = _mono_mul(m1, m2)
-                    new = nxt.get(mono, QI_ZERO) + c1 * c2
-                    if new:
-                        nxt[mono] = new
-                    else:
-                        nxt.pop(mono, None)
+                    _accumulate(nxt, _mono_mul(m1, m2), c1 * c2)
             result = nxt
         return result
 

@@ -60,6 +60,7 @@ from .operators import (
     as_power,
     compress,
     power_forms,
+    _safe_scale,
     spectral_error_bound,
 )
 from .spectra import _constraint_indices, circle_in_pi_essential, shift_eigen_window
@@ -177,17 +178,6 @@ def _wedge_bounds(h0, h1, gap, eps):
     return top + (1.0 + 2.0 / np.sin(gap)) * eps + 4.0 * UNIT_ROUNDOFF * np.abs(v)
 
 
-def _safe_scale(a):
-    """1.0 when the largest real or imaginary part of A is 0 or lies in
-    [2^-401, 2^400), where ||A||_F, eps and the wedge formula neither underflow
-    nor overflow; otherwise a power of two that takes it into [1/2, 1)."""
-    size = float(max(np.max(np.abs(a.real)), np.max(np.abs(a.imag))))
-    e = math.frexp(size)[1]
-    if size == 0.0 or -400 <= e <= 400:
-        return 1.0
-    return math.ldexp(1.0, min(-e, 1000))  # a subnormal A gets 2^1000
-
-
 def numerical_radius(op, n_angles=720, with_upper=False):
     """max_theta h(theta) by a best-first search on Johnson's wedge bounds.
 
@@ -200,9 +190,9 @@ def numerical_radius(op, n_angles=720, with_upper=False):
     outgrows the wedge excess (about h'' g^2/8), or once another round would
     take more than ``n_angles`` solves.  One parabolic step through the best
     angle and its two neighbours, within the same cap, then polishes the
-    lower end.  A matrix outside the range of :func:`_safe_scale` is searched
-    as the exact power-of-two multiple it gives, and w and the bound scaled
-    back.
+    lower end.  A matrix outside the range of
+    :func:`~orbitforge.operators._safe_scale` is searched as the exact
+    power-of-two multiple it gives, and w and the bound scaled back.
 
     Returns (w, theta) with w = h(theta) a computed value; with
     ``with_upper`` also the top wedge bound left, an upper enclosure of w(T)

@@ -428,6 +428,17 @@ class MultiplicationGrid:
 UNIT_ROUNDOFF = 2.0 ** -53
 
 
+def _safe_scale(a):
+    """1.0 when the largest real or imaginary part of A is 0 or lies in
+    [2^-401, 2^400), where ||A||_F, eps and the wedge formula neither underflow
+    nor overflow; otherwise a power of two that takes it into [1/2, 1)."""
+    size = float(max(np.max(np.abs(a.real)), np.max(np.abs(a.imag))))
+    e = math.frexp(size)[1]
+    if size == 0.0 or -400 <= e <= 400:
+        return 1.0
+    return math.ldexp(1.0, min(-e, 1000))  # a subnormal A gets 2^1000
+
+
 def spectral_error_bound(a):
     """eps = 16 n u ||A||_F for an n x n matrix A.
 
@@ -435,9 +446,13 @@ def spectral_error_bound(a):
     Guide sec. 4.7, 4.9): each computed eigenvalue of a Hermitian part
     Re(e^{-i theta} A), and each computed singular value of A, is within
     p(n) u ||A||_2 <= eps of an exact one, p(n) = 16 n also covering the
-    rounding of forming the input.
+    rounding of forming the input.  ||A||_F is taken of the power-of-two
+    multiple :func:`_safe_scale` gives and divided back, so its sum of
+    squares neither underflows nor overflows.
     """
-    return 16.0 * a.shape[0] * UNIT_ROUNDOFF * float(np.linalg.norm(a))
+    scale = _safe_scale(a)
+    fro = float(np.linalg.norm(a * scale if scale != 1.0 else a))
+    return 16.0 * a.shape[0] * UNIT_ROUNDOFF * fro / scale
 
 
 class DenseOperator:

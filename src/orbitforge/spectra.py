@@ -298,7 +298,7 @@ def shift_eigen_window(op, lam, m, start=0):
     lam = complex(lam)
     if _off_circle(lam, abs(w), 1e-12):
         raise DegenerateInputError(
-            f"|lam| = {abs(lam):.6g} is off the catalogued circle of radius {abs(w):.6g}"
+            f"|lam| = {abs(lam)!r} is off the catalogued circle of radius {abs(w)!r}"
         )
     m = int(m)
     if m < 1:
@@ -415,11 +415,12 @@ def approx_eigenvector(op, lam, m, start=0):
     if m < 2:
         raise DegenerateInputError("window length must be at least 2")
     if isinstance(op, (BilateralShift, UnilateralShift)):
+        # the window's unit norm and residual formula hold only on the circle
         rho = _shift_circle_radius(op)
-        if _off_circle(lam, rho, 1e-9):
+        if _off_circle(lam, rho, 1e-12):
             raise DomainError(
-                f"|lam| = {abs(lam):.6g} is not on the spectral circle "
-                f"of radius {rho:g}"
+                f"|lam| = {abs(lam)!r} is not on the spectral circle "
+                f"of radius {rho!r}"
             )
         x = shift_eigen_window(op, lam, m, start=start)
         return ApproxEigenpair(

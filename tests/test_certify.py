@@ -108,9 +108,7 @@ def test_flat_builder_lines_are_the_verifier_lines():
     s = BilateralShift()
     sub, report = flat_subspace(s, 0.5, 2, rng=3)
     lines, measured = verify_flat_subspace(s, sub.basis, 0.5, rng=3)
-    assert [c.to_json() for c in lines] == [
-        c for c in report["checks"] if c["label"] != "norm_le_2w"
-    ]
+    assert [c.to_json() for c in lines] == report["checks"]
     assert [r["n"] for r in measured["per_n"]] == [r["n"] for r in report["per_n"]]
     assert measured["stage_bounds"] == report["stage_bounds"]
 

@@ -269,7 +269,6 @@ def test_flat_subspace_three_stage_certificate():
     assert times == sorted(set(times))
     for row in rep["per_n"]:
         assert row["norm"] <= row["stage_bound"] + 1e-12
-        assert row["norm_le_2w"]
     assert rep["per_n"][-1]["beyond_horizon"]
     assert rep["per_n"][-1]["norm"] == 0.0
     assert rep["passed"]
@@ -319,7 +318,7 @@ def test_flat_report_csv_shape():
     _, rep = flat_subspace(BilateralShift(), 1.5, 2)
     text = flat_report_csv(rep)
     lines = text.strip().split("\n")
-    assert lines[0] == "n,norm,numerical_radius,stage_bound"
+    assert lines[0] == "n,norm,stage_bound"
     assert len(lines) == 1 + len(rep["per_n"])
     n0 = int(lines[1].split(",")[0])
     assert n0 == rep["per_n"][0]["n"]

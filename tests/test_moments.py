@@ -367,7 +367,6 @@ def test_exact_matches_are_bit_identical_to_the_fraction_reference(monkeypatch):
     atoms = _exact_atoms(QI)
     for module in (exactring, moments):
         monkeypatch.setattr(module, "QI", FractionQI)
-    monkeypatch.setattr(exactring, "QI_ZERO", FractionQI(0))
     monkeypatch.setattr(exactring, "QI_ONE", FractionQI(1))
     assert _exact_atoms(FractionQI) == atoms
 

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitforge import nrange
+from orbitforge.flatten import flat_subspace
 from orbitforge.errors import (
     DegenerateInputError,
     DomainError,
@@ -35,7 +37,7 @@ from orbitforge.operators import (
     power_tuple,
     spectral_error_bound,
 )
-from orbitforge.vectors import WindowVector, inner
+from orbitforge.vectors import WindowVector, cross_gram, inner
 
 
 def _rng(seed):
@@ -314,6 +316,20 @@ def test_radius_search_ends_when_the_wedge_arithmetic_under_or_overflows(scale):
     assert abs(out["radius"] / scale - w) <= 1e-12 * w
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e200])
+def test_norm_enclosure_stays_finite_and_open_at_extreme_scales(scale):
+    # ||A||_F of the raw matrix underflows to 0 (eps 0, a point interval) or
+    # overflows to inf with a RuntimeWarning; the rescaled one does neither
+    a = _random_matrix(5, 0) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = radius_norm_bounds(a)
+    sigma = np.linalg.norm(a, 2)
+    assert -math.inf < out["norm_lower"] < out["norm_upper"] < math.inf
+    assert out["norm_lower"] <= sigma <= out["norm_upper"]
+    assert 0.0 < spectral_error_bound(a) < math.inf
+
+
 def test_subnormal_matrix_is_searched_at_a_normal_scale():
     # a * 2^1000 is exact for subnormal entries, so both calls run one search
     a = _random_matrix(5, 0) * 1e-320
@@ -321,6 +337,23 @@ def test_subnormal_matrix_is_searched_at_a_normal_scale():
     out = radius_norm_bounds(a)
     assert out["radius"] == big["radius"] / 2.0 ** 1000
     assert 0.0 < out["radius"] <= out["radius_upper"]
+
+
+def test_radius_bounds_of_flat_subspace_compressions():
+    # the 3 x 3 compressions C_n = P T^n P of a flat subspace: disc-shaped
+    # ranges, the search's worst case, where ||C|| <= 2 w(C) must still
+    # not be refuted and the radius must lie inside its own enclosure
+    op = BilateralShift()
+    sub, rep = flat_subspace(op, 1.5, 3, rng=5)
+    basis = sub.basis
+    rows = [row for row in rep["per_n"] if not row["beyond_horizon"]]
+    assert rows
+    for row in rows:
+        c = cross_gram([apply_power(op, b, row["n"]) for b in basis], basis).T
+        out = radius_norm_bounds(c)
+        assert out["upper_holds"] and out["lower_holds"]
+        assert out["radius"] <= out["radius_upper"]
+        assert out["norm_lower"] <= row["norm"] <= out["norm_upper"]
 
 
 def test_zero_matrix_radius_stops_after_the_coarse_pass(monkeypatch):

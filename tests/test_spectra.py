@@ -327,6 +327,17 @@ def test_approx_eigenvector_rejects_wrong_modulus():
         approx_eigenvector(BilateralShift(), 1.0, 1)
 
 
+def test_approx_eigenvector_refuses_a_modulus_the_window_refuses():
+    # 1e-10 off the circle: the window's 1e-12 test would refuse it, so the
+    # shift branch refuses it first, as a domain error with both moduli
+    with pytest.raises(DomainError) as exc:
+        approx_eigenvector(BilateralShift(), 1 + 1e-10, 8)
+    assert repr(abs(1 + 1e-10)) in str(exc.value) and "1.0" in str(exc.value)
+    with pytest.raises(DomainError):
+        approx_eigenvector(UnilateralShift(ConstantWeights(2j)), 2 - 1e-10, 8)
+    assert approx_eigenvector(BilateralShift(), np.exp(0.3j), 8).residual > 0
+
+
 def test_approx_eigenvector_diagonal_picks_nearest_phase():
     rot = QuadraticIrrationalRotation(2)
     op = DiagonalUnitary(rot)

@@ -16,6 +16,7 @@ from orbitforge.errors import (
 from orbitforge.moments import admissible_radius
 from orbitforge.operators import (
     BilateralShift,
+    ConstantWeights,
     DenseOperator,
     DiagonalUnitary,
     MultiplicationGrid,
@@ -203,7 +204,6 @@ def _recheck_orbit(base, cert):
 def test_orbit_certificate_bilateral(n, eps):
     cert = almost_orthogonal_orbit(BilateralShift(), n, eps)
     assert cert.passed()
-    assert cert.params["correction_applied"] is False
     _recheck_orbit(BilateralShift(), cert)
 
 
@@ -222,6 +222,46 @@ def test_orbit_certificate_diagonal():
     assert cert.checks["norm_window"].measured <= 1e-12
     assert cert.checks["recurrence"].measured <= 1e-6
     _recheck_orbit(op, cert)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        BilateralShift(),
+        UnilateralShift(),
+        BilateralShift(ConstantWeights(1j)),
+        DiagonalUnitary(QuadraticIrrationalRotation(2)),
+        DiagonalUnitary(QuadraticIrrationalRotation(3), index_set="N"),
+    ],
+    ids=["bilateral", "unilateral", "unit-weight", "diagonal-qi-2", "diagonal-qi-3-N"],
+)
+@pytest.mark.parametrize("n", [2, 8, 16])
+def test_orbit_forms_meet_half_the_exactness_threshold(op, n):
+    # shift windows cancel exactly under the DFT mix and diagonal phases sit
+    # within 1e-8/(2n) of their roots, so no zeroing pass is ever needed
+    cert = almost_orthogonal_orbit(op, n, 0.1)
+    forms = raw_forms(op, cert.x, range(1, n))
+    assert np.max(np.abs(forms)) <= witness.HARD_TOL / 2
+
+
+@pytest.mark.parametrize(
+    "op",
+    [BilateralShift(), DiagonalUnitary(QuadraticIrrationalRotation(2))],
+    ids=["bilateral", "diagonal-qi-2"],
+)
+def test_orbit_with_a_perturbed_family_fails_its_orthogonality_line(monkeypatch, op):
+    # one root moved by 0.01 rad breaks the DFT cancellation: the forms are
+    # about 0.01 j/n, which the verifier's orthogonality line must catch
+    family = witness.approx_eigenvector_family
+
+    def perturbed(base, lambdas, m, **kw):
+        lambdas = np.array(lambdas)
+        lambdas[0] *= np.exp(0.01j)
+        return family(base, lambdas, m, **kw)
+
+    monkeypatch.setattr(witness, "approx_eigenvector_family", perturbed)
+    with pytest.raises(NumericalError, match="orthogonality"):
+        almost_orthogonal_orbit(op, 8, 0.1)
 
 
 def test_orbit_scaling_coherence():
