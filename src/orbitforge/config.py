@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .harness import _int_param
 
 COMMANDS = (
     "nrange",
@@ -74,6 +75,15 @@ def _scalar(text):
         return text
 
 
+def _seed(value, location):
+    """The seed by the suites' integer rule: 1.7, "1.7" and booleans are
+    refused, not truncated."""
+    try:
+        return _int_param(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed must be an integer: {exc}", location=location) from None
+
+
 def _from_ini(text, source):
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -118,7 +128,7 @@ def _from_ini(text, source):
         params=params,
         output_path=out_path,
         output_format=out_format,
-        seed=int(exp.get("seed", "0")),
+        seed=_seed(exp.get("seed", "0"), f"{source}:[experiment]:seed"),
     )
 
 
@@ -147,7 +157,7 @@ def _from_json(obj, source):
         params=dict(params),
         output_path=output.get("path"),
         output_format=output.get("format", "json"),
-        seed=int(obj.get("seed", 0)),
+        seed=_seed(obj.get("seed", 0), f"{source}:seed"),
     )
 
 

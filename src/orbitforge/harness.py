@@ -284,7 +284,13 @@ def _check_diagonal_compression(params, seed):
 def _check_moment_exact(params, seed):
     mode = str(params.get("mode", "exact"))
     exact = mode == "exact"
-    number = (lambda t: Fraction(str(t))) if exact else (lambda t: _complex_param(t)[0])
+
+    def number(t):
+        # strings such as "1/100" read through Fraction in both modes
+        if exact:
+            return Fraction(str(t))
+        return complex(Fraction(t)) if isinstance(t, str) else _complex_param(t)[0]
+
     rho = _param(params, "rho", 1, number if exact else float)
     targets = ["0", "1/100", "0", "1/200", "0", "1/500"]
     eps = _param(params, "eps", targets, lambda ts: [number(t) for t in ts])

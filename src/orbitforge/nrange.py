@@ -18,8 +18,9 @@ targets mu_1..mu_N for the quadratic forms <T^{p_1} x, x>, ..., <T^{p_N} x, x>,
 produce a unit vector that attains them within delta, orthogonal to any given
 finite family.  :func:`we_membership_witness` does this by building an atomic
 measure with the right power moments (:mod:`orbitforge.moments`) and then
-realizing each atom as an approximate eigenvector: disjoint shift windows or
-phase-targeted diagonal basis vectors.  Disjointness makes every cross term
+realizing its atoms through
+:func:`~orbitforge.spectra.approx_eigenvector_family`: disjoint shift windows
+or phase-targeted diagonal basis vectors.  Disjointness makes every cross term
 vanish identically, so the final defects are measured from the raw vector and
 compared against delta, never inferred.
 """
@@ -36,7 +37,6 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     NumericalError,
-    PreconditionError,
     UnsupportedModelError,
 )
 from .moments import (
@@ -49,12 +49,9 @@ from .operators import (
     TWO_PI,
     UNIT_ROUNDOFF,
     BilateralShift,
-    ConstantWeights,
     DenseOperator,
     DiagonalUnitary,
-    MultiplicationGrid,
     OperatorPower,
-    QuadraticIrrationalRotation,
     Subspace,
     UnilateralShift,
     as_power,
@@ -63,7 +60,12 @@ from .operators import (
     _safe_scale,
     spectral_error_bound,
 )
-from .spectra import _constraint_indices, circle_in_pi_essential, shift_eigen_window
+from .spectra import (
+    approx_eigenvector_family,
+    circle_radius,
+    essential_circle_route,
+    phase_tolerance_turns,
+)
 from .vectors import BudgetMeter, WindowVector, combine, gram, inner, normalize
 
 
@@ -319,31 +321,6 @@ def _resolve_power_tuple(ops, n_targets):
     return base, powers
 
 
-def _witness_circle_radius(base):
-    """Radius of the essential circle the witness construction lives on."""
-    if isinstance(base, (BilateralShift, UnilateralShift)):
-        if base.weights is None:
-            return 1.0
-        if isinstance(base.weights, ConstantWeights):
-            return abs(base.weights.value)
-        raise UnsupportedModelError(
-            "witness construction needs a constant-modulus shift weight"
-        )
-    if isinstance(base, DiagonalUnitary):
-        if isinstance(base.phase_rule, QuadraticIrrationalRotation):
-            return 1.0
-        raise UnsupportedModelError(
-            "witness construction needs a dense phase orbit on the diagonal"
-        )
-    if isinstance(base, (DenseOperator, MultiplicationGrid)):
-        # finite-rank models have empty essential spectra; let the spectral
-        # precondition below refuse with the mathematically honest reason
-        return 1.0
-    raise UnsupportedModelError(
-        f"no witness realization for {type(base).__name__}"
-    )
-
-
 def _detect_power_profile(powers, mu):
     """lam with mu_k = lam^{p_k} for all k, if one exists."""
     if 1 in powers:
@@ -372,45 +349,6 @@ def _constraint_support(constraints):
     return out
 
 
-def _realize_on_shift(base, measure, powers, delta, constraints, meter):
-    p_max = max(powers)
-    rho = float(measure.rho)
-    # window edge effects contribute (p/m) rho^p per power, so this length
-    # keeps the realization error under delta/2 before the final re-measure
-    m = max(2 * p_max + 2, math.ceil(2.0 * p_max * max(rho, 1.0) ** p_max / delta))
-    start = 0
-    for c in constraints:
-        if len(c.indices):
-            start = max(start, int(c.indices[-1]) + 1)
-    start += p_max + 1
-    meter.charge(len(measure.weights) * m)
-    terms = []
-    for z, w in zip(measure.positions, measure.weights):
-        terms.append((math.sqrt(w), shift_eigen_window(base, z, m, start=start)))
-        start += m + p_max + 1
-    x = normalize(combine(terms))
-    return x, {"window_length": m, "atom_count": len(measure.weights)}
-
-
-def _realize_on_diagonal(base, measure, powers, delta, constraints, meter):
-    p_max = max(powers)
-    used = _constraint_indices(constraints)
-    tol_turn = delta / (4.0 * p_max * TWO_PI)
-    rule = base.phase_rule
-    meter.charge(len(measure.weights))
-    entries = []
-    for z, w in zip(measure.positions, measure.weights):
-        turn = (math.atan2(z.imag, z.real) / TWO_PI) % 1.0
-        k = rule.find_index(turn, tol_turn, exclude=used)
-        used.add(k)
-        entries.append((k, math.sqrt(w)))
-    x = WindowVector.from_pairs(entries)
-    return normalize(x), {
-        "atom_count": len(measure.weights),
-        "phase_tolerance_turns": tol_turn,
-    }
-
-
 def we_membership_witness(
     ops, mu, delta, constraints=None, window_budget=None, meter=None
 ):
@@ -435,13 +373,8 @@ def we_membership_witness(
     if not 0 < delta < math.inf:
         raise DegenerateInputError("delta must be positive and finite")
     base, powers = _resolve_power_tuple(ops, len(mu))
-    rho = _witness_circle_radius(base)
-    ok, route_spec = circle_in_pi_essential(base, rho)
-    if not ok:
-        raise PreconditionError(
-            f"the circle of radius {rho:g} is not in the essential approximate "
-            f"point spectrum of this {type(base).__name__}"
-        )
+    rho = circle_radius(base)
+    route_spec = essential_circle_route(base, rho)
     constraints = _constraint_support(constraints)
     meter = meter if meter is not None else BudgetMeter(window_budget)
     p_max = max(powers)
@@ -470,11 +403,24 @@ def we_membership_witness(
         route = "moment_gadgets"
 
     if isinstance(base, (BilateralShift, UnilateralShift)):
-        x, params = _realize_on_shift(base, measure, powers, delta, constraints, meter)
+        # window edges add (p/m) rho^p per power: under delta/2 at this length
+        m = max(2 * p_max + 2, math.ceil(2.0 * p_max * max(rho, 1.0) ** p_max / delta))
+        params = {"window_length": m, "atom_count": len(measure.weights)}
         realization = "shift_windows"
     else:
-        x, params = _realize_on_diagonal(base, measure, powers, delta, constraints, meter)
+        try:  # phases within sqrt(2/m) <= delta/(4 p_max) radians of the atoms
+            m = max(2, math.ceil(32.0 * (p_max / delta) ** 2))
+        except OverflowError:
+            raise DegenerateInputError(f"delta {delta:g} is below the phase resolution") from None
+        tol_turn = phase_tolerance_turns(m)
+        params = {"atom_count": len(measure.weights), "phase_tolerance_turns": tol_turn}
         realization = "diagonal_indices"
+    family = approx_eigenvector_family(
+        base, measure.positions, m, margin=p_max, constraints=constraints, meter=meter
+    )
+    x = normalize(
+        combine((math.sqrt(w), pair.vector) for w, pair in zip(measure.weights, family))
+    )
 
     measured = power_forms(base, powers, x)
     defects = np.abs(measured - mu)

@@ -33,6 +33,7 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     NumericalError,
+    PreconditionError,
     UnsupportedModelError,
 )
 from .operators import (
@@ -272,6 +273,40 @@ def circle_in_pi_essential(op, radius=1.0, tol=1e-9):
     return False, "none"
 
 
+def essential_circle_route(op, radius=1.0):
+    """The route of :func:`circle_in_pi_essential`, or PreconditionError
+    when circle(radius) is not in sigma_pi_e(T)."""
+    ok, route = circle_in_pi_essential(op, radius)
+    if not ok:
+        raise PreconditionError(
+            f"the circle of radius {radius:g} is not in the essential approximate "
+            f"point spectrum of this {type(op).__name__}"
+        )
+    return route
+
+
+def circle_radius(op):
+    """Radius of the spectral circle whose points the family realizes.
+
+    Shifts need a constant-modulus weight and diagonals a dense phase orbit;
+    finite-rank models get 1.0, so that :func:`essential_circle_route`
+    refuses them for their empty essential spectrum.
+    """
+    if isinstance(op, (BilateralShift, UnilateralShift)):
+        if op.weights is None:
+            return 1.0
+        if isinstance(op.weights, ConstantWeights):
+            return abs(op.weights.value)
+        raise UnsupportedModelError("need a constant-modulus shift weight")
+    if isinstance(op, DiagonalUnitary):
+        if isinstance(op.phase_rule, QuadraticIrrationalRotation):
+            return 1.0
+        raise UnsupportedModelError("need a dense phase orbit on the diagonal")
+    if isinstance(op, (DenseOperator, MultiplicationGrid)):
+        return 1.0
+    raise UnsupportedModelError(f"no circle realization for {type(op).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # approximate eigenvectors for catalogued models
 
@@ -391,16 +426,9 @@ class ApproxEigenpair:
         }
 
 
-def _measured_residual(op, x, lam):
-    return (op.apply(x) - lam * x).norm()
-
-
-def _shift_circle_radius(op):
-    if op.weights is None:
-        return 1.0
-    if isinstance(op.weights, ConstantWeights):
-        return abs(op.weights.value)
-    raise UnsupportedModelError("need a constant shift weight")
+def _measured_pair(op, lam, x, support_window):
+    """The pair (lam, x) with its residual ||T x - lam x|| measured from x."""
+    return ApproxEigenpair(lam, x, (op.apply(x) - lam * x).norm(), support_window)
 
 
 def approx_eigenvector(op, lam, m, start=0):
@@ -416,19 +444,14 @@ def approx_eigenvector(op, lam, m, start=0):
         raise DegenerateInputError("window length must be at least 2")
     if isinstance(op, (BilateralShift, UnilateralShift)):
         # the window's unit norm and residual formula hold only on the circle
-        rho = _shift_circle_radius(op)
+        rho = circle_radius(op)
         if _off_circle(lam, rho, 1e-12):
             raise DomainError(
                 f"|lam| = {abs(lam)!r} is not on the spectral circle "
                 f"of radius {rho!r}"
             )
         x = shift_eigen_window(op, lam, m, start=start)
-        return ApproxEigenpair(
-            lam=lam,
-            vector=x,
-            residual=_measured_residual(op, x, lam),
-            support_window=(start, start + m - 1),
-        )
+        return _measured_pair(op, lam, x, (start, start + m - 1))
     if isinstance(op, DiagonalUnitary):
         if _off_circle(lam, 1.0, 1e-9):
             raise DomainError("diagonal unitary spectrum lives on the unit circle")
@@ -437,44 +460,25 @@ def approx_eigenvector(op, lam, m, start=0):
         idx = np.arange(start, start + m, dtype=np.int64)
         factors = np.exp(1j * op.phase_rule.phases(idx))
         k = int(idx[np.argmin(np.abs(factors - lam))])
-        x = WindowVector.basis(k)
-        return ApproxEigenpair(
-            lam=lam,
-            vector=x,
-            residual=_measured_residual(op, x, lam),
-            support_window=(k, k),
-        )
+        return _measured_pair(op, lam, WindowVector.basis(k), (k, k))
     if isinstance(op, MultiplicationGrid):
         if _off_circle(lam, 1.0, 1e-9):
             raise DomainError("grid multiplication spectrum lives on the unit circle")
         turn = (cmath.phase(lam) / (2.0 * math.pi)) % 1.0
         k = int(round(turn * op.dim)) % op.dim
-        x = grid_eigen_vector(op, k)
-        return ApproxEigenpair(
-            lam=lam,
-            vector=x,
-            residual=_measured_residual(op, x, lam),
-            support_window=(k, k),
-        )
+        return _measured_pair(op, lam, grid_eigen_vector(op, k), (k, k))
     raise UnsupportedModelError(
         f"no approximate-eigenvector recipe for {type(op).__name__}"
     )
 
 
-def _constraint_top_index(constraints):
-    top = None
-    for c in constraints or ():
-        if len(c.indices):
-            t = int(c.indices[-1])
-            top = t if top is None else max(top, t)
-    return top
+def phase_tolerance_turns(m):
+    """Index tolerance of a diagonal family of window length m, in turns.
 
-
-def _constraint_indices(constraints):
-    out = set()
-    for c in constraints or ():
-        out.update(int(i) for i in c.indices)
-    return out
+    Matched to the shift-window residual scale: a phase within it is within
+    2 pi tol = sqrt(2/m) radians of its target.
+    """
+    return math.sqrt(2.0 / m) / (2.0 * math.pi)
 
 
 def approx_eigenvector_family(
@@ -482,12 +486,15 @@ def approx_eigenvector_family(
 ):
     """Approximate eigenvectors with exactly vanishing cross terms.
 
-    Shift models place one window per lambda, pairwise separated by ``margin``
-    empty slots, so <T^j u_k, T^j' u_k'> = 0 exactly for k != k' and all
-    j, j' <= margin.  Diagonal models use distinct basis vectors, which are
-    orthogonal under every power.  Windows start beyond the support of any
-    constraint vector (margin-padded), making the family orthogonal to the
-    constraints and to their images under those powers.
+    Shift models place one window of length m per lambda.  The first window
+    starts at index 0 when no constraint has support, else ``margin`` empty
+    slots above the highest constraint index; consecutive windows have
+    ``margin + 1`` empty slots between them.  So <T^j u_k, T^j' u_k'> = 0
+    exactly for k != k' and all j, j' <= margin, and every u_k is orthogonal
+    to the constraints and to their images under those powers.  Diagonal
+    models use distinct basis vectors off every constraint's support, whose
+    phases lie within :func:`phase_tolerance_turns` of arg lambda; they are
+    orthogonal under every power.
     """
     lambdas = [complex(z) for z in lambdas]
     if not lambdas:
@@ -501,24 +508,21 @@ def approx_eigenvector_family(
     if margin < 1:
         raise DegenerateInputError("margin must be at least 1")
     meter = meter if meter is not None else BudgetMeter(window_budget)
+    constraints = [c for c in constraints or () if len(c.indices)]
 
     if isinstance(op, (BilateralShift, UnilateralShift)):
         meter.charge(len(lambdas) * m)
-        top = _constraint_top_index(constraints)
-        start = 0 if top is None else top + margin + 1
+        start = max((int(c.indices[-1]) + margin + 1 for c in constraints), default=0)
         out = []
         for lam in lambdas:
-            pair = approx_eigenvector(op, lam, m, start=start)
-            out.append(pair)
+            out.append(approx_eigenvector(op, lam, m, start=start))
             start += m + margin + 1
         return out
 
     if isinstance(op, DiagonalUnitary):
         meter.charge(len(lambdas))
-        used = _constraint_indices(constraints)
-        # matched to the shift-window residual scale: |e^{i theta} - lam|
-        # <= 2 pi tol = sqrt(2/m)
-        tol_turn = math.sqrt(2.0 / m) / (2.0 * math.pi)
+        used = {int(i) for c in constraints for i in c.indices}
+        tol_turn = phase_tolerance_turns(m)
         out = []
         for lam in lambdas:
             if _off_circle(lam, 1.0, 1e-9):
@@ -526,15 +530,7 @@ def approx_eigenvector_family(
             turn = (cmath.phase(lam) / (2.0 * math.pi)) % 1.0
             k = op.phase_rule.find_index(turn, tol_turn, exclude=used)
             used.add(k)
-            x = WindowVector.basis(k)
-            out.append(
-                ApproxEigenpair(
-                    lam=lam,
-                    vector=x,
-                    residual=_measured_residual(op, x, lam),
-                    support_window=(k, k),
-                )
-            )
+            out.append(_measured_pair(op, lam, WindowVector.basis(k), (k, k)))
         return out
 
     raise UnsupportedModelError(

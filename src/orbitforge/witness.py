@@ -40,9 +40,9 @@ from .errors import (
 )
 from .certify import UNIT_TOL, Check, by_label, require
 from .moments import admissible_radius
-from .nrange import _resolve_power_tuple, _witness_circle_radius, we_membership_witness
+from .nrange import _resolve_power_tuple, we_membership_witness
 from .operators import TWO_PI, DiagonalUnitary, MultiplicationGrid, power_forms
-from .spectra import approx_eigenvector_family, circle_in_pi_essential
+from .spectra import approx_eigenvector_family, circle_radius, essential_circle_route
 from .vectors import (
     BudgetMeter,
     WindowVector,
@@ -243,7 +243,7 @@ def zero_iteration_step(
         raise DegenerateInputError("stage must be nonnegative")
     base, powers = _resolve_power_tuple(ops, _tuple_len(ops))
     if radius is None:
-        radius = admissible_radius(_witness_circle_radius(base), max(powers))
+        radius = admissible_radius(circle_radius(base), max(powers))
     radius = float(radius)
     norm_sq = x.norm() ** 2
     if abs(norm_sq - (1.0 - 2.0 ** (-stage))) > 1e-10:
@@ -318,12 +318,8 @@ def zero_tuple_vector(
     start_stage = int(start_stage)
     if start_stage < 0:
         raise DegenerateInputError("start_stage must be nonnegative")
-    rho = _witness_circle_radius(base)
-    ok, _route = circle_in_pi_essential(base, rho)
-    if not ok:
-        raise PreconditionError(
-            "the spectral circle needed by the zeroing witness is missing"
-        )
+    rho = circle_radius(base)
+    essential_circle_route(base, rho)
     radius = admissible_radius(rho, max(powers))
     meter = BudgetMeter(window_budget)
     avoid = list(avoid or ())
@@ -451,12 +447,7 @@ def almost_orthogonal_orbit(base, n, eps, window_budget=None):
     eps = float(eps)
     if not 0.0 < eps < 1.0:
         raise DegenerateInputError("eps must lie in (0, 1)")
-    ok, route = circle_in_pi_essential(base, 1.0)
-    if not ok:
-        raise PreconditionError(
-            "the unit circle is not in the essential approximate point "
-            f"spectrum of this {type(base).__name__}"
-        )
+    route = essential_circle_route(base)
     nb = base.norm_bound()
     eps_prime = eps / (4.0 * n ** 1.5 * nb ** (2 * n))
     meter = BudgetMeter(window_budget)
@@ -566,12 +557,7 @@ def rokhlin_tower(base, n, eps, u=None, window_budget=None):
             f"tower of height {n} needs n > {threshold:g}",
             minimal_n=minimal,
         )
-    ok, route = circle_in_pi_essential(base, 1.0)
-    if not ok:
-        raise PreconditionError(
-            "the unit circle is not in the essential approximate point "
-            f"spectrum of this {type(base).__name__}"
-        )
+    route = essential_circle_route(base)
     if u is None:
         u = WindowVector.basis(0)
     if abs(u.norm() - 1.0) > 1e-9:

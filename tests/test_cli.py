@@ -114,6 +114,20 @@ def test_verify_then_replay_bit_identical(tmp_path, capsys):
     assert out.count("identical") == 2
 
 
+def test_float_moment_suite_passes_at_defaults_and_replays(tmp_path, capsys):
+    # the default targets are fraction strings such as "1/100"
+    cfg = tmp_path / "float.json"
+    report = tmp_path / "report.json"
+    cfg.write_text(json.dumps({
+        "command": "verify",
+        "params": {"check": "moment_exact", "mode": "float"},
+        "output": {"path": str(report)},
+    }))
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert main(["replay", "--from", str(report)]) == 0
+    assert "identical" in capsys.readouterr().out
+
+
 def test_replay_flags_tampered_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     assert main(["verify", "--check", "moment_exact", "--out", str(report)]) == 0
@@ -262,6 +276,23 @@ def test_config_command_mismatch(tmp_path, capsys):
     cfg = tmp_path / "orbit.ini"
     cfg.write_text("[experiment]\ncommand = orbit\n")
     assert main(["verify", "--config", str(cfg)]) == 65
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("abc.ini", "[experiment]\ncommand = verify\nseed = abc\n"),
+        ("frac.ini", "[experiment]\ncommand = verify\nseed = 1.7\n"),
+        ("frac.json", '{"command": "verify", "seed": 1.7}'),
+        ("bool.json", '{"command": "verify", "seed": true}'),
+        ("null.json", '{"command": "verify", "seed": null}'),
+    ],
+)
+def test_config_seed_must_be_an_integer(name, text, tmp_path, capsys):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    assert main(["verify", "--config", str(cfg)]) == 65
+    assert "seed" in capsys.readouterr().err
 
 
 def test_config_missing_file(tmp_path, capsys):

@@ -492,6 +492,11 @@ def test_witness_input_validation():
         )
     with pytest.raises(DegenerateInputError):
         we_membership_witness((s,), [0.1, 0.2], 0.01)
+    # a phase tolerance below float64 and the fixed-point phases is refused
+    d = DiagonalUnitary(QuadraticIrrationalRotation())
+    for delta in (1e-60, 1e-200):
+        with pytest.raises(DegenerateInputError):
+            we_membership_witness(d, [0.1, 0.05j], delta)
 
 
 def test_witness_budget_cap():
@@ -518,6 +523,20 @@ def test_witness_orthogonal_to_constraints_and_their_power_images():
         assert inner(apply_power(s, x, p), c) == 0
     # support starts beyond the constraint, with a gap covering the powers
     assert int(x.indices[0]) > 7 + 3
+    # the windows are the family's: the first starts p_max + 1 above the
+    # constraint's last index t = 7, and p_max + 1 empty slots part the next
+    m, p_max = res.params["window_length"], 3
+    starts = 7 + p_max + 1 + (m + p_max + 1) * np.arange(res.params["atom_count"])
+    assert np.array_equal(x.indices, (starts[:, None] + np.arange(m)).ravel())
+    # on a diagonal the atoms avoid the constraint's indices, each within
+    # delta / (4 p_max) radians of its phase
+    d = DiagonalUnitary(QuadraticIrrationalRotation())
+    res = we_membership_witness(power_tuple(d, 3), [0.3, 0.09, 0.027], 0.02,
+                                constraints=[c])
+    assert res.params["phase_tolerance_turns"] <= 0.02 / (8 * math.pi * p_max)
+    assert not np.intersect1d(res.vector.indices, c.indices).size
+    for p in range(1, 4):
+        assert inner(res.vector, apply_power(d, c, p)) == 0
 
 
 def test_sequential_witnesses_have_disjoint_supports():
