@@ -1,7 +1,7 @@
 """The one record shape of a verified inequality, shared by every verifier.
 
-Each statement's verifier sits next to its builder, which runs it as its
-self-check; :mod:`orbitforge.harness` runs it again on the returned vectors.
+Each statement's verifier sits next to its builder, which runs it once on the
+objects it returns; :mod:`orbitforge.harness` reports the lines of that call.
 """
 
 from __future__ import annotations

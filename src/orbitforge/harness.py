@@ -1,11 +1,15 @@
-"""Named verification suites that re-measure each construction from its outputs.
+"""Named verification suites that report each construction's verifier lines.
 
 Every suite normalizes its parameters, drives one public construction, and
-hands the returned vectors to the statement's verifier, the same function the
-construction ran as its self-check, so nothing the construction reported
-about itself is read.  A suite result is a flat list of
-:class:`~orbitforge.certify.Check` lines plus the parameters and seed needed
-to reproduce it bit for bit.
+reports the lines of the statement's ``verify_<statement>`` applied to
+exactly the returned objects.  Six constructions (orbit, tower, flat
+subspace, zeroing, compression, moment match) make that one verifier call
+themselves and carry its lines in their record; the suite reports those
+lines, since a deterministic verifier on the same frozen objects can only
+repeat them.  The reverse eigenvector and the unitary orbit, which no
+construction claims, are verified here on the returned vectors.  A suite
+result is a flat list of :class:`~orbitforge.certify.Check` lines plus the
+parameters and seed needed to reproduce it bit for bit.
 
 Reports serialize deterministically: JSON with sorted keys round-trips to an
 equal check object, CSV has one row per inequality, markdown embeds the
@@ -24,9 +28,9 @@ from fractions import Fraction
 
 from .certify import Check
 from .errors import DegenerateInputError, NumericalError
-from .flatten import flat_subspace, verify_flat_subspace
-from .moments import circle_moment_match, verify_moment_match
-from .nrange import diagonal_compression_subspace, verify_compression
+from .flatten import flat_subspace
+from .moments import circle_moment_match
+from .nrange import diagonal_compression_subspace
 from .operators import (
     BilateralShift,
     ConstantWeights,
@@ -38,14 +42,10 @@ from .operators import (
     operator_from_json,
 )
 from .spectra import orbit_to_approx_eigenvector, verify_eigenpair
-from .vectors import WindowVector
 from .witness import (
     almost_orthogonal_orbit,
     rokhlin_tower,
-    verify_orbit,
-    verify_rokhlin_tower,
     verify_unitary_orbit,
-    verify_zeroing,
     zero_tuple_vector,
 )
 
@@ -213,15 +213,14 @@ def _model(params, default):
     return op, budget, {"model": op.to_json(), "window_budget": budget}
 
 
-# -- the eight suites: normalize the parameters, build, verify ----------------------
+# -- the eight suites: normalize the parameters, build, report the verifier lines ----
 
 
 def _check_orbit_certificate(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
     n, eps = _param(params, "n", 8, _int_param), _param(params, "eps", 0.1, float)
     cert = almost_orthogonal_orbit(op, n, eps, window_budget=budget)
-    lines = verify_orbit(op, cert.x, n, eps).checks.values()
-    return dict(norm, n=n, eps=eps), list(lines)
+    return dict(norm, n=n, eps=eps), list(cert.checks.values())
 
 
 def _check_orbit_reverse_eigenvector(params, seed):
@@ -247,16 +246,14 @@ def _check_rokhlin_tower(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
     n, eps = _param(params, "n", 65, _int_param), _param(params, "eps", 0.25, float)
     tower = rokhlin_tower(op, n, eps, window_budget=budget)
-    lines = verify_rokhlin_tower(op, tower.w, tower.u, eps).checks.values()
-    return dict(norm, n=n, eps=eps), list(lines)
+    return dict(norm, n=n, eps=eps), list(tower.checks.values())
 
 
 def _check_flat_subspace(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
     eps, d = _param(params, "eps", 0.25, float), _param(params, "d", 3, _int_param)
-    sub, _report = flat_subspace(op, eps, d, window_budget=budget, rng=seed)
-    lines, _measured = verify_flat_subspace(op, sub.basis, eps, rng=seed)
-    return dict(norm, eps=eps, d=d), lines
+    _sub, report = flat_subspace(op, eps, d, window_budget=budget, rng=seed)
+    return dict(norm, eps=eps, d=d), [Check(**c) for c in report["checks"]]
 
 
 def _check_tuple_zeroing(params, seed):
@@ -265,8 +262,7 @@ def _check_tuple_zeroing(params, seed):
     tol = _param(params, "tol", 1e-8, float)
     ops = tuple(OperatorPower(op, p) for p in powers)
     cert = zero_tuple_vector(ops, tol=tol, window_budget=budget)
-    lines = verify_zeroing(op, powers, cert.x, WindowVector.zero(), 0, tol)
-    return dict(norm, powers=powers, tol=tol), lines
+    return dict(norm, powers=powers, tol=tol), list(cert.checks.values())
 
 
 def _check_diagonal_compression(params, seed):
@@ -277,8 +273,8 @@ def _check_diagonal_compression(params, seed):
     res = diagonal_compression_subspace(
         op, lam, n, dim=dim, delta=delta, window_budget=budget
     )
-    lines = verify_compression(op, res.subspace, lam, n, delta).checks.values()
-    return dict(norm, lam=lam_json, n=n, dim=dim, delta=delta), list(lines)
+    lines = list(res.checks.values())
+    return dict(norm, lam=lam_json, n=n, dim=dim, delta=delta), lines
 
 
 def _check_moment_exact(params, seed):
@@ -294,10 +290,7 @@ def _check_moment_exact(params, seed):
     rho = _param(params, "rho", 1, number if exact else float)
     targets = ["0", "1/100", "0", "1/200", "0", "1/500"]
     eps = _param(params, "eps", targets, lambda ts: [number(t) for t in ts])
-    res = circle_moment_match(eps, rho=rho, mode=mode)
-    lines = verify_moment_match(
-        res.measure, [complex(t) for t in eps], mode, res.exact_certificate
-    )
+    lines = circle_moment_match(eps, rho=rho, mode=mode).checks()
     if exact:
         return {"mode": mode, "rho": str(rho), "eps": [str(t) for t in eps]}, lines
     return {"mode": mode, "rho": rho, "eps": [[z.real, z.imag] for z in eps]}, lines

@@ -1,12 +1,10 @@
 """Verification suites: replay determinism and deterministic report bytes."""
 
-import dataclasses
 import json
 import math
 
 import pytest
 
-from orbitforge import harness
 from orbitforge.errors import DegenerateInputError
 from orbitforge.harness import (
     CHECK_IDS,
@@ -27,6 +25,7 @@ from orbitforge.operators import (
     UnilateralShift,
 )
 from orbitforge.vectors import WindowVector
+from orbitforge.witness import rokhlin_tower, verify_rokhlin_tower
 
 
 def test_all_eight_suites_pass_at_defaults():
@@ -158,28 +157,19 @@ def test_float_floor_failure_reports_the_requested_tol():
     assert "floor" in c.diagnostics
 
 
-def test_rokhlin_check_measures_the_cyclic_link(monkeypatch):
+def test_rokhlin_check_measures_the_cyclic_link():
     # the last level becomes T w_{n-2} plus a far-away bump just under eps:
     # every link j < n-1 stays below eps, only T w_{n-1} -> w_0 breaks it
-    real = harness.rokhlin_tower
     op = BilateralShift()
     eps = 0.25
-
-    def bent(*args, **kwargs):
-        tower = real(*args, **kwargs)
-        w = list(tower.w)
-        w[-1] = op.apply(w[-2]) + (eps * (1 - 1e-6)) * WindowVector.basis(10 ** 9)
-        return dataclasses.replace(tower, w=w)
-
-    monkeypatch.setattr(harness, "rokhlin_tower", bent)
-    c = run_check("rokhlin_tower", {"eps": eps})
-    tower = bent(op, 65, eps)
-    open_chain = max((op.apply(tower.w[j]) - tower.w[j + 1]).norm() for j in range(64))
+    tower = rokhlin_tower(op, 65, eps)
+    w = list(tower.w)
+    w[-1] = op.apply(w[-2]) + (eps * (1 - 1e-6)) * WindowVector.basis(10 ** 9)
+    open_chain = max((op.apply(w[j]) - w[j + 1]).norm() for j in range(64))
     assert open_chain < eps
-    links = next(r for r in c.results if r.label == "links")
-    assert links.measured >= eps
-    assert not links.passed
-    assert not c.passed()
+    lines = verify_rokhlin_tower(op, w, tower.u, eps).checks
+    assert lines["links"].measured >= eps
+    assert not lines["links"].passed
 
 
 def test_moment_float_mode():
@@ -233,7 +223,7 @@ def test_rokhlin_mean_identity_matches_loop(params):
     c = run_check("rokhlin_tower", params)
     p = params or {}
     n = p.get("n", 65)
-    tower = harness.rokhlin_tower(
+    tower = rokhlin_tower(
         build_model(p.get("model", "bilateral-shift")), n, p.get("eps", 0.25)
     )
     total = WindowVector.zero()
