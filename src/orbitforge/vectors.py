@@ -172,7 +172,10 @@ class WindowVector:
         return int(self.indices[0]), int(self.indices[-1])
 
     def norm(self):
-        return float(np.linalg.norm(self.values))
+        """sqrt of numpy's pairwise sum of |v_i|^2, whose order is fixed by the
+        code; a BLAS dot would add in an order set by the thread count."""
+        v = self.values
+        return float(np.sqrt(np.sum(v.real * v.real + v.imag * v.imag)))
 
     def __getitem__(self, index):
         pos = np.searchsorted(self.indices, index)

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,9 @@ from orbitforge import cli
 from orbitforge.cli import main
 from orbitforge.config import ExperimentConfig, load_config, parse_config
 from orbitforge.errors import ConfigError
+from orbitforge.harness import CHECK_IDS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_help_exits_zero(capsys):
@@ -112,6 +119,34 @@ def test_verify_then_replay_bit_identical(tmp_path, capsys):
     assert main(["replay", "--from", str(report)]) == 0
     out = capsys.readouterr().out
     assert out.count("identical") == 2
+
+
+def _run_with_blas_threads(threads, *args):
+    """orbitforge in a child process whose BLAS uses ``threads`` threads."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(
+        os.environ,
+        PYTHONPATH=path,
+        OPENBLAS_NUM_THREADS=str(threads),
+        OMP_NUM_THREADS=str(threads),
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "orbitforge", *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_replay_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # norms and inner products sum in an order fixed by the code, so a report
+    # written with two BLAS threads replays bit for bit with one
+    report = tmp_path / "report.json"
+    written = _run_with_blas_threads(2, "verify", "--out", str(report))
+    assert written.returncode == 0, written.stdout + written.stderr
+    replayed = _run_with_blas_threads(1, "replay", "--from", str(report))
+    assert replayed.stdout.splitlines() == [
+        f"identical {cid} seed=0" for cid in CHECK_IDS
+    ], replayed.stdout + replayed.stderr
+    assert replayed.returncode == 0
 
 
 def test_float_moment_suite_passes_at_defaults_and_replays(tmp_path, capsys):
