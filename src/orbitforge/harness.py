@@ -287,7 +287,12 @@ def _check_moment_exact(params, seed):
             return Fraction(str(t))
         return complex(Fraction(t)) if isinstance(t, str) else _complex_param(t)[0]
 
-    rho = _param(params, "rho", 1, number if exact else float)
+    def real(t):
+        if exact:
+            return Fraction(str(t))
+        return float(Fraction(t) if isinstance(t, str) else t)
+
+    rho = _param(params, "rho", 1, real)
     targets = ["0", "1/100", "0", "1/200", "0", "1/500"]
     eps = _param(params, "eps", targets, lambda ts: [number(t) for t in ts])
     lines = circle_moment_match(eps, rho=rho, mode=mode).checks()

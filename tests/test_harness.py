@@ -180,6 +180,16 @@ def test_moment_float_mode():
     assert "symbolic_zero_defects" not in labels
 
 
+def test_moment_float_mode_reads_rho_through_fraction():
+    # the exact mode takes rho = "1/2"; the float mode reads the same string
+    targets = ["0", "1/1000", "0", "1/2000"]
+    c = run_check("moment_exact", {"mode": "float", "rho": "1/2", "eps": targets})
+    assert c.passed(), (c.results, c.diagnostics)
+    assert c.params["rho"] == 0.5
+    again = check_from_json(json.loads(emit_report(c, "json")))
+    assert run_check(again.check_id, again.params, again.seed).results == c.results
+
+
 def test_build_model_shorthands():
     assert isinstance(build_model("bilateral-shift"), BilateralShift)
     assert isinstance(build_model("unilateral-shift"), UnilateralShift)
