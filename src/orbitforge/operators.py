@@ -288,12 +288,6 @@ class BilateralShift:
             v = v.scale_by(self.weights.at)
         return v.translate(1)
 
-    def apply_adjoint(self, v):
-        v = v.translate(-1)
-        if self.weights is not None:
-            return v.scale_by(lambda idx: np.conj(self.weights.at(idx)))
-        return v
-
     def norm_bound(self):
         return 1.0 if self.weights is None else self.weights.sup_modulus()
 
@@ -303,7 +297,7 @@ class BilateralShift:
 
 
 class UnilateralShift:
-    """(S x)_{i+1} = w_i x_i on the half line; the adjoint kills index 0."""
+    """(S x)_{i+1} = w_i x_i on the half line."""
 
     index_set = "N"
     dim = None
@@ -317,13 +311,6 @@ class UnilateralShift:
         if self.weights is not None:
             v = v.scale_by(self.weights.at)
         return v.translate(1)
-
-    def apply_adjoint(self, v):
-        _require_nonnegative_support(v)
-        v = v.translate(-1).restrict(lambda idx: idx >= 0)
-        if self.weights is not None:
-            return v.scale_by(lambda idx: np.conj(self.weights.at(idx)))
-        return v
 
     def norm_bound(self):
         return 1.0 if self.weights is None else self.weights.sup_modulus()
@@ -352,11 +339,6 @@ class DiagonalUnitary:
         if self.index_set == "N":
             _require_nonnegative_support(v)
         return v.scale_by(self._factors)
-
-    def apply_adjoint(self, v):
-        if self.index_set == "N":
-            _require_nonnegative_support(v)
-        return v.scale_by(lambda idx: np.conj(self._factors(idx)))
 
     def norm_bound(self):
         return 1.0
@@ -403,10 +385,6 @@ class MultiplicationGrid:
     def apply(self, v):
         self._check(v)
         return v.scale_by(lambda idx: np.exp(1j * self.node_phases(idx)))
-
-    def apply_adjoint(self, v):
-        self._check(v)
-        return v.scale_by(lambda idx: np.exp(-1j * self.node_phases(idx)))
 
     def embed(self, values):
         """Grid vector of a function: pointwise values weighted by sqrt(measure)."""
@@ -472,9 +450,6 @@ class DenseOperator:
     def apply(self, v):
         return WindowVector.from_dense(self.matrix @ v.to_dense(self.dim))
 
-    def apply_adjoint(self, v):
-        return WindowVector.from_dense(self.matrix.conj().T @ v.to_dense(self.dim))
-
     def norm_enclosure(self):
         """[sigma - eps, sigma + eps] around ||A||_2: sigma from LAPACK's SVD
         (``np.linalg.norm(A, 2)``), eps from :func:`spectral_error_bound`."""
@@ -520,11 +495,6 @@ class OperatorPower:
 
     def apply(self, v):
         return apply_power(self.base, v, self.exponent)
-
-    def apply_adjoint(self, v):
-        for _ in range(self.exponent):
-            v = self.base.apply_adjoint(v)
-        return v
 
     def norm_bound(self):
         return self.base.norm_bound() ** self.exponent
