@@ -415,8 +415,8 @@ def build_parser():
         "verify",
         help="run the named verification suites (default: all eight)",
         description=(
-            "Runs each suite and re-measures its inequalities from raw "
-            "outputs; exits 0 only when every inequality holds. Suites: "
+            "Runs each suite and reports its inequalities, measured once from "
+            "the raw outputs; exits 0 only when every inequality holds. Suites: "
             + ", ".join(CHECK_IDS)
             + "."
         ),

@@ -46,10 +46,8 @@ def test_bilateral_shift_moves_basis():
 
 
 def test_unilateral_shift_refuses_negative_support():
-    s = UnilateralShift()
-    assert s.apply(WindowVector.basis(3)) == WindowVector.basis(4)
     with pytest.raises(DimensionMismatchError):
-        s.apply(WindowVector.basis(-1))
+        UnilateralShift().apply(WindowVector.basis(-1))
 
 
 def test_weighted_shift_values():

@@ -260,6 +260,15 @@ def test_inner_matches_dict_reference(pair):
     assert abs(inner(u, v) - exact_inner(u, v)) <= 1e-15 * u.norm() * v.norm()
 
 
+@given(support_pairs())
+def test_norm_matches_dict_reference(pair):
+    # n squares summed in any order are within n u of exact; the square root
+    # halves that, and the roundings of both roots and the reference add 2 u
+    for u in pair:
+        exact = float(np.sqrt(exact_inner(u, u).real))
+        assert abs(u.norm() - exact) <= (len(u) + 3) * 2.0 ** -53 * exact
+
+
 def bits(z):
     return np.complex128(z).tobytes()
 
