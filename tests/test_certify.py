@@ -1,4 +1,4 @@
-"""One Check record and one verifier per statement; the harness reports the builder's lines."""
+"""One Check record and one verifier per statement, run once by the builder."""
 
 import json
 from fractions import Fraction
