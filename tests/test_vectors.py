@@ -1,4 +1,6 @@
+import cmath
 import json
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -573,3 +575,140 @@ def test_combine_empty_and_lone_terms():
             assert_bit_identical(combine([(c, v)]), combine_by_fold([(c, v)]))
             assert_bit_identical(combine([(c, v), (0.0, WindowVector.zero())]), c * v)
         assert combine([(1, v), (-1, v)]).nnz == 0
+
+
+# -- combine placements: per-run slices against one fancy index per term
+
+
+def combine_by_fancy_index(terms):
+    """combine with every term of a multi-term sum added through one fancy
+    index: the accumulator loop before per-run slices, kept as the oracle."""
+    terms = [(c, v) for c, v in terms if len(v)]
+    if len(terms) < 2:
+        return combine(terms)
+    lo = min(int(v.indices[0]) for _, v in terms)
+    span = max(int(v.indices[-1]) for _, v in terms) - lo + 1
+    keys = None
+    if span > 2 * sum(len(v) for _, v in terms):
+        merged = np.sort(np.concatenate([v.indices for _, v in terms]), kind="stable")
+        keys = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+    acc = np.full(span if keys is None else len(keys), complex(-0.0, -0.0))
+    for c, v in terms:
+        where = v.indices - np.int64(lo) if keys is None else np.searchsorted(keys, v.indices)
+        acc[where] += v.values * c
+    keep = np.flatnonzero(acc != 0)
+    indices = keep + np.int64(lo) if keys is None else keys[keep]
+    return WindowVector(indices, acc[keep], _checked=True)
+
+
+def recorded_placements():
+    """Patch vectors._placements to record the slot kinds of every term."""
+    kinds = []
+
+    def recording(indices, lo, keys):
+        out = vectors._placements.__wrapped__(indices, lo, keys)
+        kinds.append(["slice" if isinstance(slot, slice) else "index" for slot, _ in out])
+        return out
+
+    recording.__wrapped__ = vectors._placements
+    return kinds, mock.patch.object(vectors, "_placements", recording)
+
+
+# every term run-wise (shortest runs included) and at the kernel's own threshold
+run_thresholds = st.sampled_from((1, vectors._RUN_SLICE_MIN))
+
+
+@given(combine_terms(), run_thresholds)
+def test_combine_placements_bit_identical_to_the_fancy_index(terms, threshold):
+    with mock.patch.object(vectors, "_RUN_SLICE_MIN", threshold):
+        got = combine(terms)
+    assert_bit_identical(got, combine_by_fancy_index(terms))
+
+
+@given(dense_families(), st.lists(coefficient, min_size=5, max_size=5), run_thresholds)
+def test_combine_dense_placements_bit_identical_to_the_fancy_index(family, coefficients, threshold):
+    terms = list(zip(coefficients, family))
+    with mock.patch.object(vectors, "_RUN_SLICE_MIN", threshold):
+        got = combine(terms)
+    assert_bit_identical(got, combine_by_fancy_index(terms))
+
+
+def sixteen_window_vector(m=600, gap=18, seed=4):
+    """Sixteen windows of m entries with gap empty slots between them."""
+    rng = np.random.default_rng(seed)
+    starts = np.arange(16) * (m + gap)
+    idx = (starts[:, None] + np.arange(m)[None, :]).ravel().astype(np.int64)
+    return WindowVector(idx, rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size))
+
+
+def test_combine_folds_a_sixteen_run_orbit_slice_by_slice():
+    # the orbit fold y = sum lam^-j T^j x of a bilateral shift: every term has
+    # 16 runs of 600 entries, so each is added as 16 slices
+    x = sixteen_window_vector()
+    lam = cmath.exp(2j * math.pi * 3 / 16)
+    terms = [(lam ** (-j), x.translate(j)) for j in range(16)]
+    kinds, patch = recorded_placements()
+    with patch:
+        got = combine(terms)
+    assert kinds == [["slice"] * 16] * 16
+    assert_bit_identical(got, combine_by_fancy_index(terms))
+    # the two-term subtraction (T - lam) y of the fold's residual
+    kinds.clear()
+    with patch:
+        residual = got.translate(1) - lam * got
+    assert kinds == [["slice"] * 16] * 2
+    assert_bit_identical(residual, combine_by_fancy_index([(1, got.translate(1)), (-1, lam * got)]))
+
+
+def test_combine_adds_a_term_of_one_entry_runs_by_one_fancy_index():
+    rng = np.random.default_rng(5)
+    block = WindowVector(np.arange(2000), rng.normal(size=2000) + 1j * rng.normal(size=2000))
+    sparse = WindowVector(np.arange(0, 2000, 2), rng.normal(size=1000) - 1j)
+    terms = [(1, block), (0.5 - 1j, sparse), (-1, block.translate(1))]
+    kinds, patch = recorded_placements()
+    with patch:
+        got = combine(terms)
+    assert kinds == [["slice"], ["index"], ["slice"]]
+    assert_bit_identical(got, combine_by_fancy_index(terms))
+
+
+def test_combine_placements_keep_signed_zeros():
+    # -0.0 + -0.0 stays -0.0 while -0.0 + 0.0 is +0.0: a slice must add the
+    # same components in the same order as the fancy index does, onto an
+    # accumulator that starts at -0.0
+    m = 2 * vectors._RUN_SLICE_MIN
+    idx = np.concatenate([np.arange(m), np.arange(m + 5, 2 * m + 5)])
+    neg = np.full(idx.size, complex(-0.0, 1.0))
+    neg[::3] = complex(2.0, -0.0)
+    pos = np.full(idx.size, complex(0.0, -1.0))
+    terms = [
+        (1, WindowVector(idx, neg)),
+        (-1.0, WindowVector(idx[:m], neg[:m])),
+        (1, WindowVector(idx[::2], pos[::2])),
+    ]
+    kinds, patch = recorded_placements()
+    with patch:
+        got = combine(terms)
+    assert kinds == [["slice", "slice"], ["slice"], ["index"]]
+    # the odd entries of the second run hold term 1 alone: its real -0.0
+    # survives the multiply by 1 and the -0.0 start
+    alone = (got.indices > m) & ((got.indices - (m + 5)) % 2 == 1) & (got.values.imag == 1)
+    assert alone.sum() > 100 and np.signbit(got.values.real[alone]).all()
+    assert_bit_identical(got, combine_by_fancy_index(terms))
+
+
+def test_combine_sparse_placements_slice_a_term_that_fills_a_stretch_of_keys():
+    # two far-apart windows each fill one stretch of the merged indices; a
+    # term interleaved with another one is looked up index by index
+    rng = np.random.default_rng(6)
+    m, far = 3000, 10 ** 12
+    a = WindowVector(np.arange(m), rng.normal(size=m) + 1j)
+    b = WindowVector(np.arange(far, far + m), rng.normal(size=m) - 1j)
+    odd = WindowVector(np.arange(1, m, 2), rng.normal(size=m // 2) + 0.5j)
+    kinds, patch = recorded_placements()
+    with patch:
+        two = combine([(1, a), (-0.25j, b)])
+        three = combine([(1, a), (2.0, b), (-1, odd)])
+    assert kinds == [["slice"], ["slice"], ["slice"], ["slice"], ["index"]]
+    assert_bit_identical(two, combine_by_fancy_index([(1, a), (-0.25j, b)]))
+    assert_bit_identical(three, combine_by_fancy_index([(1, a), (2.0, b), (-1, odd)]))
