@@ -322,6 +322,17 @@ def shift_eigen_window(op, lam, m, start=0):
     The profile solves the eigen-recurrence x_{j+1} = lam x_j / w exactly, so
     the residual lives entirely on the two window edges.  Only shifts with a
     constant weight are supported; |lam| must match the weight modulus.
+
+    Entry k is (|r|^-k / sqrt(m)) exp(-i theta k) with r = lam / w and theta
+    = arg r: a modulus times a unit phase, not the complex power r^-k.  The
+    modulus factor stays because |r| may differ from 1 by up to 1e-12, which
+    moves |r|^-k by up to k 1e-12.  The angle is taken as hi k + lo k with
+    hi k exact, so entry k is off the profile of the exact arg r by k times
+    the rounding of theta plus a few units of roundoff: at most 4e-12 at the
+    roots of unity of order 4, 8 and 16 with m = 2^15.  One product theta k
+    would round angles up to ~1e5 and be off by up to 1.1e-11 there; the
+    complex power left orbit orthogonality forms near 3e-13, this form near
+    1e-15.
     """
     if not isinstance(op, (BilateralShift, UnilateralShift)):
         raise UnsupportedModelError("eigen windows exist only for shift models")
@@ -342,7 +353,14 @@ def shift_eigen_window(op, lam, m, start=0):
         raise DegenerateInputError("half-line window cannot start below 0")
     ratio = lam / w
     scale = 1.0 / math.sqrt(m)
-    vals = scale * ratio ** (-np.arange(m, dtype=np.float64))
+    k = np.arange(m, dtype=np.float64)
+    # theta = hi + lo, hi with at most 53 - m.bit_length() significant bits:
+    # hi * k is exact for every k < m and only the small lo * k rounds
+    theta = cmath.phase(ratio)
+    step = math.ldexp(1.0, math.frexp(theta)[1] - 53 + m.bit_length())
+    hi = round(theta / step) * step
+    phase = np.exp(-1j * (hi * k)) * np.exp(-1j * ((theta - hi) * k))
+    vals = (scale * abs(ratio) ** -k) * phase
     idx = np.arange(start, start + m, dtype=np.int64)
     return WindowVector(idx, vals)
 

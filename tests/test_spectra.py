@@ -1,5 +1,6 @@
 import cmath
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -202,6 +203,51 @@ def test_eigen_window_weighted_shift():
 def test_eigen_window_rejects_off_circle_targets():
     with pytest.raises(DegenerateInputError):
         shift_eigen_window(BilateralShift(), 0.5, 10)
+
+
+def root_of_unity(p, q):
+    """e^{2 pi i p/q} for q dividing 16, each part correctly rounded.
+
+    Built by p 16/q rotations through pi/8 in 40-digit decimals: the float
+    cmath.exp(2j * math.pi * p / q) rounds its argument first and is off the
+    root by up to 7e-16 rad, which k = 32767 alone turns into 2.2e-11."""
+    two = Decimal(2)
+    c, s = (two + two.sqrt()).sqrt() / 2, (two - two.sqrt()).sqrt() / 2
+    re, im = Decimal(1), Decimal(0)
+    for _ in range(16 // q * p):
+        re, im = re * c - im * s, re * s + im * c
+    return complex(float(re), float(im))
+
+
+@pytest.mark.parametrize("q", [4, 8, 16])
+def test_eigen_window_at_roots_of_unity_matches_the_exact_table(q):
+    m = 32768
+    k = np.arange(m)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        lams = [root_of_unity(p, q) for p in range(q)]
+    for p, lam in enumerate(lams):
+        x = shift_eigen_window(BilateralShift(), lam, m)
+        # phases reduced mod q in integers: the table itself has no drift
+        table = np.exp(-2j * np.pi * ((p * k) % q) / q)
+        assert np.abs(math.sqrt(m) * x.to_dense(m) - table).max() <= 1e-11, p
+
+
+def test_eigen_window_keeps_the_modulus_off_the_unit_ratio():
+    # |lam / w| = 1 - 1e-13 passes the 1e-12 circle gate; over 32768 entries
+    # |lam / w|^-k grows by 3.3e-9, which a unit-modulus profile would lose
+    w = 2.0 * cmath.exp(0.3j)
+    lam = w * (1.0 - 1e-13) * cmath.exp(1.1j)
+    m = 32768
+    x = shift_eigen_window(BilateralShift(ConstantWeights(w)), lam, m)
+    r = Decimal(abs(lam / w))
+    assert abs(r - 1) < Decimal("1.01e-13")
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for k in [*range(0, m, 61), m - 1]:
+            want = float(r ** -k / Decimal(m).sqrt())
+            assert abs(abs(x[k]) - want) <= 1e-15 * want, k
+    assert abs(x[m - 1]) * math.sqrt(m) > 1.0 + 3e-9
 
 
 def test_unilateral_interior_points_are_not_approx_eigenvalues():
