@@ -323,16 +323,14 @@ def shift_eigen_window(op, lam, m, start=0):
     the residual lives entirely on the two window edges.  Only shifts with a
     constant weight are supported; |lam| must match the weight modulus.
 
-    Entry k is (|r|^-k / sqrt(m)) exp(-i theta k) with r = lam / w and theta
-    = arg r: a modulus times a unit phase, not the complex power r^-k.  The
-    modulus factor stays because |r| may differ from 1 by up to 1e-12, which
-    moves |r|^-k by up to k 1e-12.  The angle is taken as hi k + lo k with
-    hi k exact, so entry k is off the profile of the exact arg r by k times
-    the rounding of theta plus a few units of roundoff: at most 4e-12 at the
-    roots of unity of order 4, 8 and 16 with m = 2^15.  One product theta k
-    would round angles up to ~1e5 and be off by up to 1.1e-11 there; the
-    complex power left orbit orthogonality forms near 3e-13, this form near
-    1e-15.
+    Entry k is (|r|^-k / sqrt(m)) exp(-i theta k) with r = lam / w and
+    theta = arg r, a modulus times a unit phase.  The modulus factor stays
+    because |r| may differ from 1 by up to 1e-12, which moves |r|^-k by up
+    to k 1e-12.  The angle is taken as hi k + lo k with hi k exact, so
+    entry k is off the profile of the exact arg r by k times the rounding
+    of theta plus a few units of roundoff: at most 4e-12 at the roots of
+    unity of order 4, 8 and 16 with m = 2^15, where one rounded product
+    theta k would be off by up to 1.1e-11.
     """
     if not isinstance(op, (BilateralShift, UnilateralShift)):
         raise UnsupportedModelError("eigen windows exist only for shift models")

@@ -319,7 +319,7 @@ def combine(terms):
         scaled = v.values * c
         for slot, part in _placements(v.indices, lo, keys):
             acc[slot] += scaled[part]
-        # free this term's copy before the next one is built
+        # drop this copy before the next term's: two alive raise peak memory
         del scaled
     # nonzero on the bool mask: np.flatnonzero of a complex array is ~5x slower
     keep = np.flatnonzero(acc != 0)
@@ -327,9 +327,8 @@ def combine(terms):
     return WindowVector(indices, acc[keep], _checked=True)
 
 
-# a slice add costs about a microsecond more than a fancy index of the same
-# entries, which saves tens of nanoseconds per entry: runs of a few hundred
-# entries break even
+# a slice add pays about a microsecond of call overhead and a fancy index up
+# to tens of nanoseconds per entry: runs of a few hundred entries break even
 _RUN_SLICE_MIN = 256
 
 
@@ -347,13 +346,12 @@ def _placements(indices, lo, keys):
         if keys[first + n - 1] == indices[-1]:
             return [(slice(first, first + n), slice(None))]
         return [(np.searchsorted(keys, indices), slice(None))]
-    breaks = []
+    edges = [0, n]
     if int(indices[-1]) - int(indices[0]) + 1 != n:
         breaks = np.flatnonzero(np.diff(indices) != 1) + 1
         if (len(breaks) + 1) * _RUN_SLICE_MIN > n:
             return [(indices - np.int64(lo), slice(None))]
-        breaks = breaks.tolist()
-    edges = [0, *breaks, n]
+        edges = [0, *breaks.tolist(), n]
     return [
         (slice(int(indices[a]) - lo, int(indices[a]) - lo + b - a), slice(a, b))
         for a, b in zip(edges, edges[1:])

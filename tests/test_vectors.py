@@ -604,13 +604,13 @@ def combine_by_fancy_index(terms):
 def recorded_placements():
     """Patch vectors._placements to record the slot kinds of every term."""
     kinds = []
+    place = vectors._placements
 
     def recording(indices, lo, keys):
-        out = vectors._placements.__wrapped__(indices, lo, keys)
+        out = place(indices, lo, keys)
         kinds.append(["slice" if isinstance(slot, slice) else "index" for slot, _ in out])
         return out
 
-    recording.__wrapped__ = vectors._placements
     return kinds, mock.patch.object(vectors, "_placements", recording)
 
 
