@@ -18,11 +18,14 @@ targets mu_1..mu_N for the quadratic forms <T^{p_1} x, x>, ..., <T^{p_N} x, x>,
 produce a unit vector that attains them within delta, orthogonal to any given
 finite family.  :func:`we_membership_witness` does this by building an atomic
 measure with the right power moments (:mod:`orbitforge.moments`) and then
-realizing its atoms through
-:func:`~orbitforge.spectra.approx_eigenvector_family`: disjoint shift windows
-or phase-targeted diagonal basis vectors.  Disjointness makes every cross term
-vanish identically, so the final defects are measured from the raw vector and
-compared against delta, never inferred.
+mixing the bare vectors that
+:func:`~orbitforge.spectra.approx_eigenvector_family` returns for its atoms:
+disjoint shift windows or phase-targeted diagonal basis vectors.  Disjointness
+makes every cross term vanish identically, so the final defects are measured
+from the raw vector and compared against delta, never inferred.  A witness
+charges its stored entries to the meter it is handed; a construction that
+builds several witnesses (a compression subspace, the zeroing stages) hands
+each the one meter of the construction, so its budget caps the whole of it.
 """
 
 from __future__ import annotations
@@ -349,9 +352,7 @@ def _constraint_support(constraints):
     return out
 
 
-def we_membership_witness(
-    ops, mu, delta, constraints=None, window_budget=None, meter=None
-):
+def we_membership_witness(ops, mu, delta, constraints=None, meter=None):
     """Unit vector x with <T^{p_k} x, x> within delta of mu_k, x orthogonal
     to all constraint vectors and to their images under the tuple powers.
 
@@ -360,8 +361,9 @@ def we_membership_witness(
     moment gadgets for targets inside the admissible radius, the discretized
     harmonic measure when mu follows a power profile lam^{p_k} with lam
     strictly inside the circle (on-circle profiles use a single eigen window).
-    Everything is re-measured from the returned vector; a defect above delta
-    raises instead of returning.
+    The stored entries are charged to ``meter``, a fresh default-budget meter
+    when None.  Everything is re-measured from the returned vector; a defect
+    above delta raises instead of returning.
     """
     mu = np.asarray(list(mu), np.complex128)
     if len(mu) == 0:
@@ -376,7 +378,7 @@ def we_membership_witness(
     rho = circle_radius(base)
     route_spec = essential_circle_route(base, rho)
     constraints = _constraint_support(constraints)
-    meter = meter if meter is not None else BudgetMeter(window_budget)
+    meter = meter if meter is not None else BudgetMeter()
     p_max = max(powers)
 
     lam = _detect_power_profile(powers, mu)
@@ -419,7 +421,7 @@ def we_membership_witness(
         base, measure.positions, m, margin=p_max, constraints=constraints, meter=meter
     )
     x = normalize(
-        combine((math.sqrt(w), pair.vector) for w, pair in zip(measure.weights, family))
+        combine((math.sqrt(w), u) for w, u in zip(measure.weights, family))
     )
 
     measured = power_forms(base, powers, x)
@@ -499,7 +501,9 @@ def diagonal_compression_subspace(op, lam, n, dim=2, delta=1e-3, window_budget=N
     Witness vectors are built one at a time, each orthogonal to its
     predecessors and to their power images, so the off-diagonal entries of
     each compression vanish by support disjointness and the diagonals carry
-    the moment defects.  The returned certificate re-measures both.
+    the moment defects.  All dim witnesses charge one meter, so
+    ``window_budget`` caps the stored entries of the whole subspace.  The
+    returned certificate re-measures both defects.
     """
     n = int(n)
     dim = int(dim)
@@ -514,11 +518,10 @@ def diagonal_compression_subspace(op, lam, n, dim=2, delta=1e-3, window_budget=N
         raise DegenerateInputError(
             f"lam^p overflows float64 for some p <= {n} (|lam| = {abs(lam):.6g})"
         ) from None
+    meter = BudgetMeter(window_budget)
     vectors = []
     for _ in range(dim):
-        res = we_membership_witness(
-            op, mu, delta, constraints=vectors, window_budget=window_budget
-        )
+        res = we_membership_witness(op, mu, delta, constraints=vectors, meter=meter)
         vectors.append(res.vector)
     res = verify_compression(op, Subspace(vectors), lam, n, delta)
     require(res.checks.values(), "compression subspace")

@@ -21,7 +21,7 @@ from .errors import (
     ResolutionError,
     UnsupportedModelError,
 )
-from .vectors import WindowVector, cross_gram, inner
+from .vectors import WindowVector, cross_gram
 
 TWO_PI = 2.0 * math.pi
 
@@ -577,14 +577,10 @@ def power_forms(op, powers, x):
 
 
 class Subspace:
-    """Span of finitely many windowed vectors, kept as an orthonormal basis.
+    """Span of finitely many windowed vectors, given by an orthonormal basis.
 
-    Orthonormalization is classical Gram-Schmidt with one full
-    re-orthogonalization pass per vector ("twice is enough"): a single pass
-    loses orthogonality at the scale of the condition number, the repeat pass
-    brings the Gram defect down to a few ulps, which the certificates later
-    re-measure from the raw vectors.  Vectors whose remainder falls below
-    ``tol`` times their norm are treated as dependent and dropped.
+    The constructions build their bases orthonormal by support disjointness;
+    the certificates re-measure the basis Gram from the raw vectors.
     """
 
     __slots__ = ("basis",)
@@ -592,33 +588,9 @@ class Subspace:
     def __init__(self, basis):
         self.basis = tuple(basis)
 
-    @classmethod
-    def span(cls, vectors, tol=1e-8):
-        space = cls(())
-        for v in vectors:
-            scale = v.norm()
-            if scale == 0.0:
-                continue
-            w = space.complement_part(v)
-            n = w.norm()
-            if n > tol * scale:
-                space.basis += (w * (1.0 / n),)
-        return space
-
     @property
     def dim(self):
         return len(self.basis)
-
-    def complement_part(self, v):
-        """v minus its projection (one extra sweep to polish orthogonality)."""
-        for _ in range(2):
-            for b in self.basis:
-                v = v - inner(v, b) * b
-        return v
-
-    def contains(self, v, tol=1e-8):
-        r = self.complement_part(v).norm()
-        return r <= tol * max(v.norm(), 1.0)
 
 
 def compress(op, subspace):

@@ -14,6 +14,14 @@ residual, and each claimed complement point by a resolvent bound.  Models
 whose spectral sets fall outside the region vocabulary are refused rather
 than approximated.
 
+Points of a spectral circle are realized by
+:func:`approx_eigenvector_family` as bare unit vectors whose cross terms
+vanish exactly, charged to the one :class:`~orbitforge.vectors.BudgetMeter`
+of the calling construction.  The orbit, tower and witness builders mix
+those vectors, and their certificates measure what the mix gives;
+:func:`approx_eigenvector` realizes a single point with its residual
+measured, for falsifying the catalogue.
+
 Dense matrices get an eigenvalue computation instead of a catalogue entry:
 :func:`dense_spectrum` takes LAPACK's eigenpairs and returns the eigenvalues
 together with a backward-error line re-measured from the raw pairs, so a
@@ -427,24 +435,23 @@ class ApproxEigenpair:
     lam: complex
     vector: WindowVector
     residual: float
-    support_window: tuple
     raw_norm: float = 1.0
 
-    def to_json(self):
-        from .vectors import vector_to_json
 
-        return {
-            "lam": [self.lam.real, self.lam.imag],
-            "residual": self.residual,
-            "support_window": list(self.support_window),
-            "raw_norm": self.raw_norm,
-            "vector": vector_to_json(self.vector, kind="approx_eigenvector"),
-        }
+def _shift_window(op, lam, m, start):
+    """The eigen window at lam, refusing a lam off the shift's circle."""
+    # the window's unit norm and residual formula hold only on the circle
+    rho = circle_radius(op)
+    if _off_circle(lam, rho, 1e-12):
+        raise DomainError(
+            f"|lam| = {abs(lam)!r} is not on the spectral circle of radius {rho!r}"
+        )
+    return shift_eigen_window(op, lam, m, start=start)
 
 
-def _measured_pair(op, lam, x, support_window):
-    """The pair (lam, x) with its residual ||T x - lam x|| measured from x."""
-    return ApproxEigenpair(lam, x, (op.apply(x) - lam * x).norm(), support_window)
+def _require_unimodular(lam, what):
+    if _off_circle(lam, 1.0, 1e-9):
+        raise DomainError(f"{what} spectrum lives on the unit circle")
 
 
 def approx_eigenvector(op, lam, m, start=0):
@@ -452,40 +459,31 @@ def approx_eigenvector(op, lam, m, start=0):
 
     Shift models get the window profile (residual |lam| sqrt(2/m) exactly);
     diagonal and grid models get the basis vector with the closest phase in
-    the index window [start, start + m).
+    the index window [start, start + m).  The residual is measured from the
+    returned vector.
     """
     lam = complex(lam)
     m = int(m)
     if m < 2:
         raise DegenerateInputError("window length must be at least 2")
     if isinstance(op, (BilateralShift, UnilateralShift)):
-        # the window's unit norm and residual formula hold only on the circle
-        rho = circle_radius(op)
-        if _off_circle(lam, rho, 1e-12):
-            raise DomainError(
-                f"|lam| = {abs(lam)!r} is not on the spectral circle "
-                f"of radius {rho!r}"
-            )
-        x = shift_eigen_window(op, lam, m, start=start)
-        return _measured_pair(op, lam, x, (start, start + m - 1))
-    if isinstance(op, DiagonalUnitary):
-        if _off_circle(lam, 1.0, 1e-9):
-            raise DomainError("diagonal unitary spectrum lives on the unit circle")
+        x = _shift_window(op, lam, m, start)
+    elif isinstance(op, DiagonalUnitary):
+        _require_unimodular(lam, "diagonal unitary")
         if op.index_set == "N" and start < 0:
             raise DegenerateInputError("half-line index window cannot start below 0")
         idx = np.arange(start, start + m, dtype=np.int64)
         factors = np.exp(1j * op.phase_rule.phases(idx))
-        k = int(idx[np.argmin(np.abs(factors - lam))])
-        return _measured_pair(op, lam, WindowVector.basis(k), (k, k))
-    if isinstance(op, MultiplicationGrid):
-        if _off_circle(lam, 1.0, 1e-9):
-            raise DomainError("grid multiplication spectrum lives on the unit circle")
+        x = WindowVector.basis(int(idx[np.argmin(np.abs(factors - lam))]))
+    elif isinstance(op, MultiplicationGrid):
+        _require_unimodular(lam, "grid multiplication")
         turn = (cmath.phase(lam) / (2.0 * math.pi)) % 1.0
-        k = int(round(turn * op.dim)) % op.dim
-        return _measured_pair(op, lam, grid_eigen_vector(op, k), (k, k))
-    raise UnsupportedModelError(
-        f"no approximate-eigenvector recipe for {type(op).__name__}"
-    )
+        x = grid_eigen_vector(op, int(round(turn * op.dim)) % op.dim)
+    else:
+        raise UnsupportedModelError(
+            f"no approximate-eigenvector recipe for {type(op).__name__}"
+        )
+    return ApproxEigenpair(lam, x, (op.apply(x) - lam * x).norm())
 
 
 def phase_tolerance_turns(m):
@@ -497,20 +495,22 @@ def phase_tolerance_turns(m):
     return math.sqrt(2.0 / m) / (2.0 * math.pi)
 
 
-def approx_eigenvector_family(
-    op, lambdas, m, margin=None, constraints=None, window_budget=None, meter=None
-):
-    """Approximate eigenvectors with exactly vanishing cross terms.
+def approx_eigenvector_family(op, lambdas, m, margin=None, constraints=None, meter=None):
+    """Unit approximate eigenvectors u_k at the lambdas, with exactly
+    vanishing cross terms, as a list of WindowVectors.
 
-    Shift models place one window of length m per lambda.  The first window
-    starts at index 0 when no constraint has support, else ``margin`` empty
-    slots above the highest constraint index; consecutive windows have
-    ``margin + 1`` empty slots between them.  So <T^j u_k, T^j' u_k'> = 0
-    exactly for k != k' and all j, j' <= margin, and every u_k is orthogonal
-    to the constraints and to their images under those powers.  Diagonal
-    models use distinct basis vectors off every constraint's support, whose
-    phases lie within :func:`phase_tolerance_turns` of arg lambda; they are
-    orthogonal under every power.
+    Shift models place one :func:`shift_eigen_window` of length m per
+    lambda.  The first window starts at index 0 when no constraint has
+    support, else ``margin`` empty slots above the highest constraint index;
+    consecutive windows have ``margin + 1`` empty slots between them.  So
+    <T^j u_k, T^j' u_k'> = 0 exactly for k != k' and all j, j' <= margin,
+    and every u_k is orthogonal to the constraints and to their images under
+    those powers.  Diagonal models use distinct basis vectors off every
+    constraint's support, whose phases lie within
+    :func:`phase_tolerance_turns` of arg lambda; they are orthogonal under
+    every power.  The stored entries are charged to ``meter`` (a fresh
+    default-budget meter when None); nothing is measured here, the callers'
+    certificates measure the vectors they build from the family.
     """
     lambdas = [complex(z) for z in lambdas]
     if not lambdas:
@@ -523,7 +523,7 @@ def approx_eigenvector_family(
     margin = int(margin)
     if margin < 1:
         raise DegenerateInputError("margin must be at least 1")
-    meter = meter if meter is not None else BudgetMeter(window_budget)
+    meter = meter if meter is not None else BudgetMeter()
     constraints = [c for c in constraints or () if len(c.indices)]
 
     if isinstance(op, (BilateralShift, UnilateralShift)):
@@ -531,7 +531,7 @@ def approx_eigenvector_family(
         start = max((int(c.indices[-1]) + margin + 1 for c in constraints), default=0)
         out = []
         for lam in lambdas:
-            out.append(approx_eigenvector(op, lam, m, start=start))
+            out.append(_shift_window(op, lam, m, start))
             start += m + margin + 1
         return out
 
@@ -541,12 +541,11 @@ def approx_eigenvector_family(
         tol_turn = phase_tolerance_turns(m)
         out = []
         for lam in lambdas:
-            if _off_circle(lam, 1.0, 1e-9):
-                raise DomainError("diagonal unitary spectrum lives on the unit circle")
+            _require_unimodular(lam, "diagonal unitary")
             turn = (cmath.phase(lam) / (2.0 * math.pi)) % 1.0
             k = op.phase_rule.find_index(turn, tol_turn, exclude=used)
             used.add(k)
-            out.append(_measured_pair(op, lam, WindowVector.basis(k), (k, k)))
+            out.append(WindowVector.basis(k))
         return out
 
     raise UnsupportedModelError(
@@ -578,15 +577,7 @@ def orbit_to_approx_eigenvector(op, x, lam, n):
     if raw_norm == 0.0:
         raise NumericalError("orbit sum collapsed to zero")
     residual = (op.apply(y) - lam * y).norm() / raw_norm
-    vec = y * (1.0 / raw_norm)
-    lo, hi = vec.support_range()
-    return ApproxEigenpair(
-        lam=lam,
-        vector=vec,
-        residual=residual,
-        support_window=(lo, hi),
-        raw_norm=raw_norm,
-    )
+    return ApproxEigenpair(lam, y * (1.0 / raw_norm), residual, raw_norm)
 
 
 def verify_eigenpair(op, y, lam, n):

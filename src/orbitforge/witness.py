@@ -223,15 +223,14 @@ def _form_floor(base, powers, x, norm_sq):
     return 2.0 * gamma * max(nb ** p for p in powers) * norm_sq
 
 
-def zero_iteration_step(
-    ops, x, stage, radius=None, avoid=None, window_budget=None, meter=None
-):
+def zero_iteration_step(ops, x, stage, radius=None, avoid=None, meter=None):
     """One zeroing stage: x' = x + 2^{-(stage+1)/2} u.
 
     The increment u is a unit witness with <T^p u, u> = -2^{stage+1} <T^p x, x>
     within radius/2, orthogonal to x, its power images, and anything in
-    ``avoid``.  Entering norm must be sqrt(1 - 2^{-stage}); the update then
-    gives ||x'||^2 = 1 - 2^{-stage-1} and ||x' - x||^2 = 2^{-stage-1} exactly.
+    ``avoid``; its stored entries are charged to ``meter``.  Entering norm
+    must be sqrt(1 - 2^{-stage}); the update then gives
+    ||x'||^2 = 1 - 2^{-stage-1} and ||x' - x||^2 = 2^{-stage-1} exactly.
 
     Entering forms must obey |<T^p x, x>| <= radius 2^{-stage-1}.  A form over
     that cap by more than the rounding floor of :func:`_form_floor` is a
@@ -270,12 +269,7 @@ def zero_iteration_step(
     if len(x.indices):
         constraints = constraints + [x]
     wit = we_membership_witness(
-        ops,
-        targets,
-        radius / 2.0,
-        constraints=constraints,
-        window_budget=window_budget,
-        meter=meter,
+        ops, targets, radius / 2.0, constraints=constraints, meter=meter
     )
     return add_scaled(x, wit.vector, 1.0, 2.0 ** (-(stage + 1) / 2.0))
 
@@ -482,7 +476,7 @@ def almost_orthogonal_orbit(base, n, eps, window_budget=None):
     lambdas = _unit_roots(n)
     family = approx_eigenvector_family(base, lambdas, m, margin=n + 1, meter=meter)
     scale = 1.0 / math.sqrt(n)
-    x = normalize(combine((scale, pair.vector) for pair in family))
+    x = normalize(combine((scale, u) for u in family))
 
     cert = verify_orbit(base, x, n, eps)
     cert.params = {
@@ -492,7 +486,6 @@ def almost_orthogonal_orbit(base, n, eps, window_budget=None):
         "proof_window_length": m_proof,
         "budget_limited": budget_limited,
         "epsilon_prime": eps_prime,
-        "family_residuals": [p.residual for p in family],
         "entries_charged": meter.used,
     }
     require(cert.checks.values(), "orbit certificate")
@@ -511,7 +504,7 @@ def _assemble_dft_tower(u, family, n):
     phases are reduced mod n in integers, so the DFT inversion identity
     sum_j w_j = sqrt(n) u_0 suffers no phase drift.
     """
-    blocks = [u] + [p.vector for p in family]
+    blocks = [u] + list(family)
     all_idx = np.concatenate([b.indices for b in blocks])
     order = np.argsort(all_idx, kind="stable")
     idx = all_idx[order]
@@ -603,7 +596,7 @@ def rokhlin_tower(base, n, eps, u=None, window_budget=None):
     family = approx_eigenvector_family(
         base, roots[1:], m, margin=2, constraints=[u], meter=meter
     )
-    meter.charge(n * (u_len + sum(len(p.vector.indices) for p in family)))
+    meter.charge(n * (u_len + sum(len(v.indices) for v in family)))
     w = _assemble_dft_tower(u, family, n)
     tower = verify_rokhlin_tower(base, w, u, eps)
     tower.params = {
@@ -616,7 +609,6 @@ def rokhlin_tower(base, n, eps, u=None, window_budget=None):
         "epsilon_prime_supremum": eps_prime_sup,
         "minimal_n": int(math.floor(threshold)) + 1,
         "mean_link_defect": tu_defect,
-        "family_residuals": [p.residual for p in family],
         "entries_charged": meter.used,
     }
     require(tower.checks.values(), "tower certificate")

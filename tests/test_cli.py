@@ -210,6 +210,14 @@ def test_env_budget_caps_constructions(monkeypatch, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_compress_budget_caps_the_whole_subspace(capsys):
+    flags = ["compress", "--lam", "0.4+0.1j", "--n", "3", "--dim", "3",
+             "--delta", "0.05", "--budget"]
+    assert main([*flags, "11519"]) == 2
+    assert "11520 stored entries" in capsys.readouterr().err
+    assert main([*flags, "11520"]) == 0
+
+
 @pytest.mark.parametrize("raw", ["abc", "1e6"])
 def test_malformed_env_budget_exits_two(raw, monkeypatch, capsys):
     monkeypatch.setenv("ORBITFORGE_WINDOW_BUDGET", raw)

@@ -37,7 +37,7 @@ from orbitforge.operators import (
     power_tuple,
     spectral_error_bound,
 )
-from orbitforge.vectors import WindowVector, cross_gram, inner
+from orbitforge.vectors import BudgetMeter, WindowVector, cross_gram, inner
 
 
 def _rng(seed):
@@ -502,7 +502,7 @@ def test_witness_input_validation():
 def test_witness_budget_cap():
     s = BilateralShift()
     with pytest.raises(WindowBudgetError) as exc:
-        we_membership_witness(s, [0.1, 0.05], 0.001, window_budget=10)
+        we_membership_witness(s, [0.1, 0.05], 0.001, meter=BudgetMeter(10))
     assert exc.value.budget == 10
     assert exc.value.required > 10
 
@@ -612,6 +612,21 @@ def test_compression_on_diagonal_model():
     out = diagonal_compression_subspace(d, 0.3, n=2, dim=2, delta=0.05)
     assert out.passed()
     assert out.gram_defect < 1e-12
+
+
+def test_compression_budget_caps_the_whole_subspace():
+    # three witnesses of 3840 stored entries each charge one meter, so the
+    # cap is on their sum, not on each witness alone
+    s = BilateralShift()
+    with pytest.raises(WindowBudgetError, match="11520 stored entries") as exc:
+        diagonal_compression_subspace(
+            s, 0.4 + 0.1j, 3, dim=3, delta=0.05, window_budget=11519
+        )
+    assert (exc.value.required, exc.value.budget) == (11520, 11519)
+    out = diagonal_compression_subspace(
+        s, 0.4 + 0.1j, 3, dim=3, delta=0.05, window_budget=11520
+    )
+    assert sum(len(v.indices) for v in out.subspace.basis) == 11520
 
 
 def test_compression_rejects_lambda_outside_circle():

@@ -40,7 +40,7 @@ from orbitforge.spectra import (
     shift_eigen_window,
     spectral_descriptor,
 )
-from orbitforge.vectors import WindowVector, inner, normalize
+from orbitforge.vectors import BudgetMeter, WindowVector, inner, normalize
 from orbitforge.witness import almost_orthogonal_orbit
 
 
@@ -351,7 +351,7 @@ def test_approx_eigenvector_residual_closed_form():
         pair = approx_eigenvector(op, 1j, m)
         assert pair.vector.norm() == pytest.approx(1.0, abs=1e-12)
         assert pair.residual == pytest.approx(math.sqrt(2.0 / m), rel=1e-12)
-        lo, hi = pair.support_window
+        lo, hi = pair.vector.support_range()
         assert hi - lo + 1 == m
 
 
@@ -361,7 +361,7 @@ def test_approx_eigenvector_any_circle_point(k):
     lam = 0.5 * np.exp(2j * math.pi * k / 32)
     pair = approx_eigenvector(op, lam, 64, start=3)
     assert pair.residual == pytest.approx(0.5 * math.sqrt(2.0 / 64), rel=1e-12)
-    assert pair.support_window[0] == 3
+    assert pair.vector.support_range()[0] == 3
     img = op.apply(pair.vector) - lam * pair.vector
     assert img.norm() == pytest.approx(pair.residual, abs=1e-15)
 
@@ -389,7 +389,7 @@ def test_approx_eigenvector_diagonal_picks_nearest_phase():
     op = DiagonalUnitary(rot)
     lam = np.exp(2j * math.pi * 0.3)
     pair = approx_eigenvector(op, lam, 2048, start=-1024)
-    k = pair.support_window[0]
+    k, _ = pair.vector.support_range()
     assert pair.vector[k] == pytest.approx(1.0)
     # basis vectors are exact eigenvectors at their own phase
     phase = rot.phases(np.array([k]))[0]
@@ -399,8 +399,8 @@ def test_approx_eigenvector_diagonal_picks_nearest_phase():
 def test_family_cross_grams_vanish_exactly():
     op = BilateralShift()
     lambdas = np.exp(2j * math.pi * np.arange(6) / 6)
-    fam = approx_eigenvector_family(op, lambdas, 32, margin=7)
-    vecs = [p.vector for p in fam]
+    vecs = approx_eigenvector_family(op, lambdas, 32, margin=7)
+    assert all(isinstance(v, WindowVector) for v in vecs)
     # orbit images up to the margin stay supported inside the padding gap
     for a in range(6):
         for b in range(a + 1, 6):
@@ -414,22 +414,37 @@ def test_family_cross_grams_vanish_exactly():
 def test_family_respects_constraints_and_budget():
     op = UnilateralShift()
     c = WindowVector.basis(11)
-    fam = approx_eigenvector_family(op, [1.0, -1.0], 16, margin=3, constraints=[c])
-    assert fam[0].support_window[0] == 15
-    assert fam[1].support_window[0] == 15 + 16 + 4
-    with pytest.raises(WindowBudgetError):
-        approx_eigenvector_family(op, [1.0, -1.0], 16, window_budget=31)
+    meter = BudgetMeter(32)
+    fam = approx_eigenvector_family(
+        op, [1.0, -1.0], 16, margin=3, constraints=[c], meter=meter
+    )
+    assert fam[0].support_range() == (15, 15 + 15)
+    assert fam[1].support_range()[0] == 15 + 16 + 4
+    assert meter.used == 32
+    with pytest.raises(WindowBudgetError) as exc:
+        approx_eigenvector_family(op, [1.0, -1.0], 16, meter=BudgetMeter(31))
+    assert (exc.value.required, exc.value.budget) == (32, 31)
 
 
 def test_family_diagonal_distinct_indices():
     op = DiagonalUnitary(QuadraticIrrationalRotation(3))
     lambdas = np.exp(2j * math.pi * np.arange(4) / 4)
     fam = approx_eigenvector_family(op, lambdas, 10**8)
-    ks = [p.support_window[0] for p in fam]
+    ks = [v.support_range()[0] for v in fam]
     assert len(set(ks)) == 4
     tol = math.sqrt(2.0 / 10**8)
-    for p in fam:
-        assert p.residual <= tol + 1e-15
+    for lam, v in zip(lambdas, fam):
+        assert (op.apply(v) - lam * v).norm() <= tol + 1e-15
+
+
+@pytest.mark.parametrize(
+    "lam", [0.5, complex("nan"), 1.0 + 1e-10], ids=["inside", "nan", "just-off"]
+)
+def test_family_shift_branch_refuses_an_off_circle_lambda(lam):
+    # the windows' unit norm holds only on the circle, so the shift branch
+    # refuses like approx_eigenvector does, before shift_eigen_window can
+    with pytest.raises(DomainError, match="not on the spectral circle"):
+        approx_eigenvector_family(BilateralShift(), [1.0, lam], 8)
 
 
 def test_orbit_folding_on_exact_eigenvector():
