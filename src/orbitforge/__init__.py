@@ -3,7 +3,7 @@
 Windowed vectors and catalogued operator models (opcore), closed-form
 spectral descriptors (spectra), numerical range boundaries and membership
 witnesses (nrange), exact moment measures (moments), orbit / tower / zeroing
-constructions (witness), flat vectors and subspaces (flatten), verification
+constructions (witness), flat subspaces (flatten), verification
 suites (harness), and a command line (cli).
 """
 
@@ -26,7 +26,6 @@ from .flatten import (
     FlatSchedule,
     flat_report_csv,
     flat_subspace,
-    flat_vector,
     sidon_set,
     spectral_precondition,
     weak_decay_probe,

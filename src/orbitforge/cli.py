@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import load_config
 from .errors import ConfigError, DegenerateInputError, NumericalError, REFUSAL_ERRORS
-from .flatten import flat_report_csv, flat_subspace, flat_vector
+from .flatten import flat_report_csv, flat_subspace
 from .harness import (
     CHECK_IDS,
     STATEMENTS,
@@ -31,7 +31,6 @@ from .harness import (
 from .moments import circle_moment_match
 from .nrange import nr_boundary, radius_norm_bounds
 from .operators import DenseOperator, MultiplicationGrid
-from .vectors import vector_to_json
 from .witness import almost_orthogonal_orbit, rokhlin_tower, rotation_tower
 
 EXIT_OK = 0
@@ -73,18 +72,6 @@ def _load_matrix(path):
 
 def _jordan(k, lam):
     return lam * np.eye(k, dtype=complex) + np.diag(np.ones(k - 1), 1)
-
-
-def _config_params(args, expected_command):
-    """Resolve --config into (model, params, seed, output) for a subcommand."""
-    cfg = load_config(args.config)
-    if cfg.command != expected_command:
-        raise ConfigError(
-            f"config names command {cfg.command!r} but was passed to "
-            f"{expected_command!r}",
-            location="command",
-        )
-    return cfg
 
 
 # -- subcommand bodies ------------------------------------------------------------
@@ -212,31 +199,19 @@ def _cmd_compress(args):
 
 def _cmd_flatten(args):
     op = build_model(args.model)
-    if args.d >= 1:
-        sub, report = flat_subspace(
-            op, args.eps, args.d, window_budget=args.budget, rng=args.seed
-        )
-        print(
-            f"flat subspace d={args.d} eps={args.eps:g}  "
-            f"sup {report['sup_bound_closed_form']:.3e}  "
-            f"{'pass' if report['passed'] else 'FAIL'}"
-        )
-        if args.out:
-            if args.format == "csv":
-                _write(args.out, flat_report_csv(report))
-            else:
-                _emit_json(report, args.out)
-        return EXIT_OK if report["passed"] else EXIT_NUMERICAL
-    x, report = flat_vector(op, args.eps, window_budget=args.budget, rng=args.seed)
+    _, report = flat_subspace(
+        op, args.eps, args.d, window_budget=args.budget, rng=args.seed
+    )
     print(
-        f"flat vector eps={args.eps:g}  sup {report['sup_form']:.3e} at "
-        f"n={report['arg_form']}  {'pass' if report['passed'] else 'FAIL'}"
+        f"flat subspace d={args.d} eps={args.eps:g}  "
+        f"sup {report['sup_bound_closed_form']:.3e}  "
+        f"{'pass' if report['passed'] else 'FAIL'}"
     )
     if args.out:
-        _emit_json(
-            {"vector": vector_to_json(x, kind="flat_vector"), "report": report},
-            args.out,
-        )
+        if args.format == "csv":
+            _write(args.out, flat_report_csv(report))
+        else:
+            _emit_json(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_NUMERICAL
 
 
@@ -245,7 +220,7 @@ def _cmd_verify(args):
     seed = args.seed
     ids = list(args.check) if args.check else list(CHECK_IDS)
     if args.config:
-        cfg = _config_params(args, "verify")
+        cfg = load_config(args.config)
         params = dict(cfg.params)
         picked = params.pop("check", None)
         if picked:
@@ -394,17 +369,17 @@ def build_parser():
 
     p = sub.add_parser(
         "flatten",
-        help="flat vector (power forms below eps) or flat subspace (--d)",
+        help="flat subspace: every positive power compresses below eps",
         description=(
             "Verifies: "
             + STATEMENTS["flat_subspace"]
-            + ". Without --d, the vector form: sup over n >= 1 of "
-            "|<T^n x, x>| <= eps with the exact Sidon certificate."
+            + ". At the default --d 1 the subspace is the span of one unit x "
+            "and the statement reads sup over n >= 1 of |<T^n x, x>| <= eps."
         ),
     )
     p.add_argument("--model", default="bilateral-shift")
     p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--d", type=int, default=0, help="subspace dimension (0 = vector)")
+    p.add_argument("--d", type=int, default=1, help="subspace dimension (default 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out", help="report path")

@@ -18,16 +18,8 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .harness import _int_param
 
-COMMANDS = (
-    "nrange",
-    "moments",
-    "orbit",
-    "tower",
-    "compress",
-    "flatten",
-    "verify",
-    "replay",
-)
+# the subcommands that take --config; any other command is refused at parse
+COMMANDS = ("verify",)
 
 _EXPERIMENT_KEYS = {"command", "model", "seed"}
 _OUTPUT_KEYS = {"path", "format"}

@@ -1,16 +1,17 @@
-"""Vectors and subspaces on which all powers of T compress to almost zero.
+"""Subspaces on which all powers of T compress to almost zero.
 
-The target quantity is sup over n >= 1 of |<T^n x, x>| (and its subspace
-version sup_n ||P_L T^n P_L||).  On plain shift models the supremum is made
-finite and exact by combinatorics instead of analysis: x is an equal-weight
-mix of s basis atoms placed on a Sidon set, a set of integers whose pairwise
-differences are all distinct.  Shifting by n then aligns at most one atom
-pair, so
+The target quantity is sup over n >= 1 of ||P_L T^n P_L||; for d = 1, the
+span of one unit x, it is sup_n |<T^n x, x>|.  On plain shift models the
+supremum is made finite and exact by combinatorics instead of analysis: each
+basis vector is an equal-weight mix of s basis atoms placed on a Sidon set, a
+set of integers whose pairwise differences are all distinct.  Shifting by n
+then aligns at most one atom pair, so
 
     |<T^n x, x>| <= 1/s      for every n >= 1,
 
-with equality exactly at the realized differences, and exact zero beyond the
-support span.  Choosing s > 16 K^2 / eps^2 leaves a wide margin under eps.
+with exact zero beyond the support span.  Stage r takes s_r > 16 K^2 / t_r^2
+atoms for its threshold t_r (see :class:`FlatSchedule`), a wide margin under
+t_r.
 
 The subspace construction draws all stages from one shared Sidon pool: any
 two atoms in the pool, whatever their stages, realize each difference at most
@@ -51,14 +52,13 @@ from .operators import (
     apply_power,
 )
 from .spectra import hull_contains_zero, spectral_descriptor
-from .vectors import BudgetMeter, WindowVector, cross_gram, gram, inner
+from .vectors import BudgetMeter, WindowVector, cross_gram, gram
 
 __all__ = [
     "DecayProfile",
     "FlatSchedule",
     "flat_report_csv",
     "flat_subspace",
-    "flat_vector",
     "next_prime",
     "sidon_set",
     "spectral_precondition",
@@ -276,164 +276,12 @@ def _stage_thresholds(eps, stages):
     return tuple(e / (2 ** (r + 3) * (r + 1)) for r in range(stages))
 
 
-# -- flat vectors ----------------------------------------------------------------
+# -- flat subspaces ---------------------------------------------------------------
 
 
 def _sidon_mix(positions):
     s = len(positions)
     return WindowVector(positions, np.full(s, 1.0 / math.sqrt(s), np.complex128))
-
-
-def _support_top(vectors):
-    top = -1
-    for v in vectors:
-        if len(v.indices):
-            top = max(top, int(v.indices[-1]))
-    return top
-
-
-def _form(op, x, n, against=None):
-    """<T^n x, against> via the exact power fast path."""
-    return inner(apply_power(op, x, n), x if against is None else against)
-
-
-def flat_vector(op, eps, targets=(), avoid=(), window_budget=None, rng=None):
-    """Unit x with sup over n >= 1 of |<T^n x, x>| below eps, verified.
-
-    ``targets`` lists unit vectors a that the orbit must also avoid:
-    |<T^n x, a>| and |<T^{*n} x, a>| stay below eps for every n >= 1.
-    ``avoid`` spans the forbidden complement; x lands beyond those supports,
-    hence exactly orthogonal.  The report carries the schedule, the measured
-    suprema with the powers attaining them, and the exact-zero horizon.
-
-    The adjoint guarantee holds when the targets are summable against the
-    atoms: ||a||_1 <= eps sqrt(s) suffices.  The measured check is
-    authoritative either way and fails loudly rather than extrapolating.
-    """
-    eps = float(eps)
-    if not 0 < eps < math.inf:  # NaN fails both comparisons
-        raise DegenerateInputError("eps must be positive and finite")
-    K = _flat_power_bound(op)
-    targets = list(targets)
-    for a in targets:
-        if abs(a.norm() - 1.0) > 1e-9:
-            raise DegenerateInputError("target vectors must be unit")
-    meter = BudgetMeter(window_budget)
-    rng = np.random.default_rng(0 if rng is None else rng)
-
-    top = max(_support_top(targets), _support_top(avoid))
-    if eps >= 2.0 * K:
-        # degenerate tolerance: |<T^n x, y>| <= K <= eps/2 for any unit x,
-        # so the first basis atom past the constraints already works
-        meter.charge(1)
-        x = WindowVector.basis(top + 1)
-        schedule = FlatSchedule(
-            eps=eps, power_bound=K, counts=(1,), thresholds=(Fraction(eps),), times=(1,)
-        )
-        return x, _verify_flat(op, x, eps, targets, schedule, rng)
-
-    eps_fr = Fraction(eps)
-    s = _stage_count(eps_fr, K)
-    meter.charge(s)
-    positions = sidon_set(s) + (top + 1)
-    x = _sidon_mix(positions)
-    schedule = FlatSchedule(
-        eps=eps,
-        power_bound=K,
-        counts=(s,),
-        thresholds=(eps_fr,),
-        times=(int(positions[-1] - positions[0]) + 1,),
-    )
-    schedule.validate()
-    for v in avoid:
-        if abs(inner(x, v)) != 0.0:
-            raise NumericalError("flat vector failed exact avoidance")
-    return x, _verify_flat(op, x, eps, targets, schedule, rng)
-
-
-# full difference scans are cubic in the atom count; past this they sample
-_FULL_SCAN_ATOMS = 256
-_SAMPLE_DIFFS = 2048
-
-
-def _difference_candidates(pos, rng):
-    s = len(pos)
-    if s <= _FULL_SCAN_ATOMS:
-        d = (pos[None, :] - pos[:, None]).ravel()
-        return np.unique(d[d >= 1]), "full"
-    lo = rng.integers(0, s, _SAMPLE_DIFFS)
-    hi = rng.integers(0, s, _SAMPLE_DIFFS)
-    d = np.abs(pos[hi] - pos[lo])
-    return np.unique(d[d >= 1]), "sampled"
-
-
-def _verify_flat(op, x, eps, targets, schedule, rng):
-    """Measure the three suprema over the exact (or sampled) horizon."""
-    lo, hi = x.support_range()
-    span = hi - lo
-    s = len(x.indices)
-    closed_form = 1.0 / s if s > 1 else 0.0
-
-    diffs, scan = _difference_candidates(x.indices, rng)
-    sup_diag, arg_diag = 0.0, 0
-    for n in diffs.tolist():
-        v = abs(_form(op, x, n))
-        if v > sup_diag:
-            sup_diag, arg_diag = v, n
-    if s == 1:
-        sup_diag = abs(_form(op, x, 1))
-        arg_diag = 1
-    zero_probe = abs(_form(op, x, span + 1))
-    if zero_probe != 0.0:
-        raise NumericalError("support span horizon is not exact", residual=zero_probe)
-
-    per_target = []
-    for a in targets:
-        # forward terms: T^n x lives above x, and a sits below all of x by
-        # placement; probe the first and the boundary power to witness it
-        fwd = max(abs(_form(op, x, n, against=a)) for n in (1, span + 1))
-        # adjoint terms via <T^{*n} x, a> = conj(<T^n a, x>); candidates are
-        # the positive gaps between x atoms and a's support
-        cand = np.unique(
-            x.indices[None, :] - np.asarray(a.indices)[:, None]
-        ).ravel()
-        cand = cand[cand >= 1]
-        if len(cand) > 4 * _SAMPLE_DIFFS:
-            cand = np.sort(rng.choice(cand, 4 * _SAMPLE_DIFFS, replace=False))
-        adj, arg_adj = 0.0, 0
-        for n in cand.tolist():
-            v = abs(_form(op, a, n, against=x))
-            if v > adj:
-                adj, arg_adj = v, n
-        per_target.append(
-            {
-                "sup_forward": fwd,
-                "sup_adjoint": adj,
-                "arg_adjoint": int(arg_adj),
-                "candidates": int(len(cand)),
-            }
-        )
-
-    worst = max(
-        [sup_diag, closed_form]
-        + [t["sup_forward"] for t in per_target]
-        + [t["sup_adjoint"] for t in per_target]
-    )
-    require([Check.at_most("sup_forms", worst, eps)], "flat vector")
-    return {
-        "schedule": schedule.to_json(),
-        "scan": scan,
-        "sup_form": sup_diag,
-        "arg_form": int(arg_diag),
-        "sup_form_closed": closed_form,
-        "exact_zero_beyond": span + 1,
-        "targets": per_target,
-        "eps": eps,
-        "passed": True,
-    }
-
-
-# -- flat subspaces ---------------------------------------------------------------
 
 
 def flat_subspace(op, eps, d, window_budget=None, rng=None):

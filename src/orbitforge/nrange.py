@@ -362,8 +362,9 @@ def we_membership_witness(ops, mu, delta, constraints=None, meter=None):
     harmonic measure when mu follows a power profile lam^{p_k} with lam
     strictly inside the circle (on-circle profiles use a single eigen window).
     The stored entries are charged to ``meter``, a fresh default-budget meter
-    when None.  Everything is re-measured from the returned vector; a defect
-    above delta raises instead of returning.
+    when None; ``params["entries_charged"]`` is this witness's own charge,
+    not the meter's running total.  Everything is re-measured from the
+    returned vector; a defect above delta raises instead of returning.
     """
     mu = np.asarray(list(mu), np.complex128)
     if len(mu) == 0:
@@ -379,6 +380,7 @@ def we_membership_witness(ops, mu, delta, constraints=None, meter=None):
     route_spec = essential_circle_route(base, rho)
     constraints = _constraint_support(constraints)
     meter = meter if meter is not None else BudgetMeter()
+    used_on_entry = meter.used
     p_max = max(powers)
 
     lam = _detect_power_profile(powers, mu)
@@ -434,7 +436,7 @@ def we_membership_witness(ops, mu, delta, constraints=None, meter=None):
     for c in constraints:
         if abs(inner(x, c)) > 1e-12:
             raise NumericalError("witness failed a constraint orthogonality")
-    params["entries_charged"] = meter.used
+    params["entries_charged"] = meter.used - used_on_entry
     params["spectral_route"] = route_spec
     return WitnessResult(
         vector=x,

@@ -95,11 +95,16 @@ def test_tower_refusal_exits_two(capsys):
 
 
 def test_flatten_vector_and_subspace(tmp_path, capsys):
+    # without --d the report is the d = 1 subspace's: one Sidon stage
     out = tmp_path / "flat.json"
     assert main(["flatten", "--eps", "0.5", "--out", str(out)]) == 0
     blob = json.loads(out.read_text())
-    assert blob["report"]["passed"]
-    assert blob["vector"]["entries"]
+    assert blob["passed"]
+    assert blob["schedule"]["counts"] == [4097]
+    assert len(blob["checks"]) == 5
+    assert all(line["passed"] for line in blob["checks"])
+    assert main(["flatten", "--d", "0"]) == 2
+    assert "subspace dimension" in capsys.readouterr().err
     csv_out = tmp_path / "flat.csv"
     assert main(["flatten", "--eps", "1.5", "--d", "2", "--out", str(csv_out),
                  "--format", "csv"]) == 0
@@ -319,6 +324,7 @@ def test_config_command_mismatch(tmp_path, capsys):
     cfg = tmp_path / "orbit.ini"
     cfg.write_text("[experiment]\ncommand = orbit\n")
     assert main(["verify", "--config", str(cfg)]) == 65
+    assert "unknown command 'orbit'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Flat vectors and subspaces: Sidon combinatorics checked against brute force."""
+"""Flat subspaces: Sidon combinatorics checked against brute force."""
 
 import math
 import re
@@ -21,7 +21,6 @@ from orbitforge.flatten import (
     DecayProfile,
     flat_report_csv,
     flat_subspace,
-    flat_vector,
     next_prime,
     sidon_set,
     spectral_precondition,
@@ -152,93 +151,6 @@ def test_probe_refuses_an_overflowing_power_bound():
     assert weak_decay_probe(op, [WindowVector.basis(0)], 1000).power_bound == nb ** 1000
 
 
-# -- flat vectors -------------------------------------------------------------------
-
-
-def test_flat_vector_matches_the_closed_form():
-    x, rep = flat_vector(BilateralShift(), 0.5, targets=[WindowVector.basis(0)])
-    s = len(x.indices)
-    assert s == 65  # floor(16 / 0.25) + 1
-    assert abs(x.norm() - 1.0) < 1e-12
-    assert rep["scan"] == "full"
-    assert rep["sup_form"] == pytest.approx(1.0 / s, abs=1e-15)
-    # independent recheck at the reported maximizer and past the span
-    assert abs(raw_shift_form(x, rep["arg_form"])) == pytest.approx(
-        1.0 / s, abs=1e-15
-    )
-    assert raw_shift_form(x, rep["exact_zero_beyond"]) == 0.0
-    (t,) = rep["targets"]
-    # the target e_0 sits below the support, so forward forms vanish and the
-    # adjoint supremum is one atom's weight
-    assert t["sup_forward"] == 0.0
-    assert t["sup_adjoint"] == pytest.approx(1.0 / math.sqrt(s), abs=1e-15)
-    assert rep["passed"]
-
-
-def test_flat_vector_sampled_scan_still_exact():
-    x, rep = flat_vector(BilateralShift(), 0.12)
-    s = len(x.indices)
-    assert s > 256 and rep["scan"] == "sampled"
-    # every sampled difference is realized, so the supremum is hit exactly
-    assert rep["sup_form"] == pytest.approx(1.0 / s, abs=1e-15)
-    assert rep["sup_form_closed"] == pytest.approx(1.0 / s, abs=1e-18)
-
-
-def test_flat_vector_lands_beyond_avoid_support():
-    avoid = [WindowVector.basis(k) for k in range(10)]
-    x, rep = flat_vector(UnilateralShift(), 0.4, avoid=avoid)
-    assert int(x.indices[0]) >= 10
-    for v in avoid:
-        assert inner(x, v) == 0.0
-    assert rep["passed"]
-
-
-def test_flat_vector_degenerate_tolerance_single_atom():
-    x, rep = flat_vector(BilateralShift(), 2.5, targets=[WindowVector.basis(3)])
-    assert len(x.indices) == 1
-    assert int(x.indices[0]) == 4
-    assert rep["schedule"]["counts"] == [1]
-    assert rep["passed"]
-
-
-def test_flat_vector_spread_target():
-    a = WindowVector([0, 1], np.full(2, 1.0 / math.sqrt(2), np.complex128))
-    x, rep = flat_vector(BilateralShift(), 0.4, targets=[a])
-    (t,) = rep["targets"]
-    assert t["sup_adjoint"] <= 0.4
-    assert t["sup_forward"] <= 0.4
-    assert rep["passed"]
-
-
-def test_flat_vector_halving_eps_at_most_quadruples_atoms():
-    sizes = {}
-    for eps in (0.8, 0.4, 0.2):
-        x, _rep = flat_vector(BilateralShift(), eps)
-        sizes[eps] = len(x.indices)
-    assert sizes[0.4] <= 4 * sizes[0.8]
-    assert sizes[0.2] <= 4 * sizes[0.4]
-
-
-def test_flat_vector_refusals():
-    with pytest.raises(PreconditionError, match="do not vanish weakly"):
-        flat_vector(DiagonalUnitary(QuadraticIrrationalRotation(2)), 0.5)
-    with pytest.raises(PreconditionError, match="do not vanish weakly"):
-        flat_vector(MultiplicationGrid(64), 0.5)
-    with pytest.raises(UnsupportedModelError, match="weight product"):
-        flat_vector(BilateralShift(ConstantWeights(0.5)), 0.5)
-    with pytest.raises(UnsupportedModelError):
-        flat_vector(DenseOperator(np.eye(3)), 0.5)
-    with pytest.raises(DegenerateInputError):
-        flat_vector(BilateralShift(), 0.0)
-    with pytest.raises(DegenerateInputError):
-        flat_vector(BilateralShift(), 0.3, targets=[2.0 * WindowVector.basis(0)])
-
-
-def test_flat_vector_budget_is_enforced():
-    with pytest.raises(WindowBudgetError):
-        flat_vector(BilateralShift(), 0.1, window_budget=100)
-
-
 # -- flat subspaces ------------------------------------------------------------------
 
 
@@ -307,6 +219,16 @@ def test_flat_subspace_replay_is_deterministic():
 def test_flat_subspace_validation_and_budget():
     with pytest.raises(DegenerateInputError):
         flat_subspace(BilateralShift(), 0.25, 0)
+    with pytest.raises(DegenerateInputError):
+        flat_subspace(BilateralShift(), 0.0, 1)
+    with pytest.raises(PreconditionError, match="do not vanish weakly"):
+        flat_subspace(DiagonalUnitary(QuadraticIrrationalRotation(2)), 0.5, 1)
+    with pytest.raises(PreconditionError, match="do not vanish weakly"):
+        flat_subspace(MultiplicationGrid(64), 0.5, 1)
+    with pytest.raises(UnsupportedModelError, match="weight product"):
+        flat_subspace(BilateralShift(ConstantWeights(0.5)), 0.5, 1)
+    with pytest.raises(UnsupportedModelError):
+        flat_subspace(DenseOperator(np.eye(3)), 0.5, 1)
     with pytest.raises(UnsupportedModelError):
         flat_subspace(UnilateralShift(ConstantWeights(0.9)), 0.25, 2)
     with pytest.raises(WindowBudgetError) as exc:

@@ -507,6 +507,22 @@ def test_witness_budget_cap():
     assert exc.value.required > 10
 
 
+def test_witness_reports_its_own_charge_on_a_shared_meter():
+    # three witnesses in turn on one meter, as diagonal_compression_subspace
+    # builds them: each reports what it stored, not the running total
+    s = BilateralShift()
+    mu = [(0.4 + 0.1j) ** p for p in range(1, 4)]
+    meter = BudgetMeter()
+    vectors, charged = [], []
+    for _ in range(3):
+        before = meter.used
+        res = we_membership_witness(s, mu, 0.05, constraints=vectors, meter=meter)
+        vectors.append(res.vector)
+        charged.append(res.params["entries_charged"])
+        assert charged[-1] == meter.used - before
+    assert charged == [3840, 3840, 3840]
+
+
 # ---------------------------------------------------------------------------
 # membership witnesses: constraints and orthogonality
 
