@@ -216,11 +216,8 @@ def test_flat_subspace_replay_is_deterministic():
     assert [r["norm"] for r in rep_a["per_n"]] == [r["norm"] for r in rep_b["per_n"]]
 
 
-def test_flat_subspace_validation_and_budget():
-    with pytest.raises(DegenerateInputError):
-        flat_subspace(BilateralShift(), 0.25, 0)
-    with pytest.raises(DegenerateInputError):
-        flat_subspace(BilateralShift(), 0.0, 1)
+def test_flat_vector_refusals():
+    # a flat vector is the d = 1 flat subspace
     with pytest.raises(PreconditionError, match="do not vanish weakly"):
         flat_subspace(DiagonalUnitary(QuadraticIrrationalRotation(2)), 0.5, 1)
     with pytest.raises(PreconditionError, match="do not vanish weakly"):
@@ -229,6 +226,18 @@ def test_flat_subspace_validation_and_budget():
         flat_subspace(BilateralShift(ConstantWeights(0.5)), 0.5, 1)
     with pytest.raises(UnsupportedModelError):
         flat_subspace(DenseOperator(np.eye(3)), 0.5, 1)
+    with pytest.raises(DegenerateInputError):
+        flat_subspace(BilateralShift(), 0.0, 1)
+
+
+def test_flat_vector_budget_is_enforced():
+    with pytest.raises(WindowBudgetError):
+        flat_subspace(BilateralShift(), 0.1, 1, window_budget=100)
+
+
+def test_flat_subspace_validation_and_budget():
+    with pytest.raises(DegenerateInputError):
+        flat_subspace(BilateralShift(), 0.25, 0)
     with pytest.raises(UnsupportedModelError):
         flat_subspace(UnilateralShift(ConstantWeights(0.9)), 0.25, 2)
     with pytest.raises(WindowBudgetError) as exc:
