@@ -74,19 +74,34 @@ def _jordan(k, lam):
     return lam * np.eye(k, dtype=complex) + np.diag(np.ones(k - 1), 1)
 
 
+def _number(kind, text):
+    """kind(text); a literal that kind cannot read is refused."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DegenerateInputError(f"cannot read {text!r}: {exc}") from None
+
+
 # -- subcommand bodies ------------------------------------------------------------
 
 
 def _cmd_nrange(args):
     if args.matrix:
         a = _load_matrix(args.matrix)
-    elif args.jordan:
-        a = _jordan(args.jordan, complex(args.lam))
     else:
-        rng = np.random.default_rng(args.seed)
-        k = args.random
-        a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        k = args.random if args.jordan is None else args.jordan
+        if k < 1:
+            raise DegenerateInputError(f"matrix size {k} is below 1")
+        if args.jordan is not None:
+            a = _jordan(k, _number(complex, args.lam))
+        else:
+            rng = np.random.default_rng(args.seed)
+            a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     op = DenseOperator(a)
+    # the boundary grid is refused, if at all, before any result is printed
+    rows = None
+    if args.out and args.format == "csv":
+        rows = nr_boundary(op, n_angles=args.angles).rows()
     bounds = radius_norm_bounds(op)
     print(
         f"radius {bounds['radius']:.9g} to {bounds['radius_upper']:.9g}  "
@@ -95,8 +110,7 @@ def _cmd_nrange(args):
         f"norm<=2w {'ok' if bounds['upper_holds'] else 'FAIL'}"
     )
     if args.out:
-        if args.format == "csv":
-            rows = nr_boundary(op, n_angles=args.angles).rows()
+        if rows is not None:
             text = "theta,re,im\n" + "".join(
                 f"{t:.12g},{re:.12g},{im:.12g}\n" for t, re, im in rows
             )
@@ -105,14 +119,6 @@ def _cmd_nrange(args):
             _emit_json(bounds, args.out)
     ok = bounds["lower_holds"] and bounds["upper_holds"]
     return EXIT_OK if ok else EXIT_NUMERICAL
-
-
-def _number(kind, text):
-    """kind(text); a literal that kind cannot read is refused."""
-    try:
-        return kind(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DegenerateInputError(f"cannot read {text!r}: {exc}") from None
 
 
 def _cmd_moments(args):
@@ -172,7 +178,7 @@ def _cmd_compress(args):
     op = build_model(args.model)
     res = diagonal_compression_subspace(
         op,
-        complex(args.lam),
+        _number(complex, args.lam),
         args.n,
         dim=args.dim,
         delta=args.delta,

@@ -111,10 +111,13 @@ def _hermitian_parts(a, thetas):
 
 
 def _support_values(a, thetas):
-    """h(theta) at each angle: the top eigenvalue of Re(e^{-i theta} A)."""
-    out = np.empty(len(thetas))
+    """(h(theta), h(theta + pi)) at each angle: the top eigenvalue of
+    Re(e^{-i theta} A) and minus its bottom one, from one eigensolve."""
+    out = np.empty((2, len(thetas)))
     for lo, h in _hermitian_parts(a, thetas):
-        out[lo:lo + len(h)] = np.linalg.eigvalsh(h)[:, -1]
+        vals = np.linalg.eigvalsh(h)
+        out[0, lo:lo + len(h)] = vals[:, -1]
+        out[1, lo:lo + len(h)] = -vals[:, 0]
     return out
 
 
@@ -152,9 +155,10 @@ def nr_boundary(op, n_angles=512):
     return BoundaryResult(thetas=thetas, support=support, points=points)
 
 
-# the coarse radius pass solves every stride-th grid angle, stride at most
-# this and at most n_angles // 8, so every coarse arc spans at most pi/4
-_COARSE_STRIDE = 8
+# the coarse radius pass solves every stride-th grid angle in [0, pi), stride
+# at most this and at most n_angles // 8, and reads off the antipodes, so
+# every coarse arc spans at most pi/4
+_COARSE_STRIDE = 32
 
 
 def _wedge_bounds(h0, h1, gap, eps):
@@ -186,11 +190,20 @@ def _wedge_bounds(h0, h1, gap, eps):
 def numerical_radius(op, n_angles=720, with_upper=False):
     """max_theta h(theta) by a best-first search on Johnson's wedge bounds.
 
-    The search starts from every stride-th angle of the ``n_angles`` grid
-    (at least 8 of them).  Each round splits at its midpoint every arc whose
-    wedge bound (:func:`_wedge_bounds`) lies in the upper half of
-    [best h, top bound], solving all the midpoints in one stacked call.  It
-    stops once no bound exceeds the best h, once the arc holding the top
+    The search starts from every stride-th angle theta of the ``n_angles``
+    grid in [0, pi) and its antipode theta + pi (at least 8 angles in all).
+    Since Re(e^{-i(theta + pi)} A) = -Re(e^{-i theta} A), h(theta + pi) is
+    minus the bottom eigenvalue of the matrix whose top one is h(theta), so
+    one eigensolve gives both.  eps still covers that value, because
+    :func:`~orbitforge.operators.spectral_error_bound` bounds every computed
+    eigenvalue, not only the top one; and it covers the rounding of theta +
+    pi, which moves the angle by at most ulp(2 pi)/2, the same order as the
+    rounding of e^{-i theta} that its 16 n factor already covers.
+
+    Each round splits at its midpoint every arc whose wedge bound
+    (:func:`_wedge_bounds`) lies in the upper half of [best h, top bound],
+    solving all the midpoints in one stacked call.  It stops once no bound
+    exceeds the best h, once the arc holding the top
     bound is narrower than 2 g_min, below which the 2 eps/sin g margin
     outgrows the wedge excess (about h'' g^2/8), or once another round would
     take more than ``n_angles`` solves.  One parabolic step through the best
@@ -209,10 +222,11 @@ def numerical_radius(op, n_angles=720, with_upper=False):
         a = a * scale
     grid = _angle_grid(n_angles)
     n_angles = len(grid)
-    thetas = grid[:: max(1, min(_COARSE_STRIDE, n_angles // 8))]
+    half = grid[:(n_angles + 1) // 2 : max(1, min(_COARSE_STRIDE, n_angles // 8))]
+    thetas = np.concatenate((half, half + np.pi))
+    values = _support_values(a, half).ravel()
     eps = spectral_error_bound(a)
     g_min = 4.0 * (16.0 * len(a) * UNIT_ROUNDOFF) ** (1.0 / 3.0)  # 4 (eps/||A||_F)^(1/3)
-    values = _support_values(a, thetas)
     while True:
         gaps = np.diff(thetas, append=TWO_PI)
         bounds = _wedge_bounds(values, np.roll(values, -1), gaps, eps)
@@ -223,7 +237,7 @@ def numerical_radius(op, n_angles=720, with_upper=False):
             break
         mids = thetas[split] + gaps[split] / 2.0
         thetas = np.insert(thetas, split + 1, mids)
-        values = np.insert(values, split + 1, _support_values(a, mids))
+        values = np.insert(values, split + 1, _support_values(a, mids)[0])
 
     k = int(np.argmax(values))
     w, theta = float(values[k]), float(thetas[k])
@@ -234,7 +248,7 @@ def numerical_radius(op, n_angles=720, with_upper=False):
         den = d0 * f1 + d1 * f0
         if den > 0.0:
             t = theta + (d1 * d1 * f0 - d0 * d0 * f1) / (2.0 * den)
-            h = float(_support_values(a, (t,))[0])
+            h = float(_support_values(a, (t,))[0, 0])
             if h > w:
                 w, theta = h, t
     if with_upper:

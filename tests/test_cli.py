@@ -84,6 +84,37 @@ def test_nrange_refuses_non_finite_and_empty_matrices(capsys, tmp_path):
         assert "refused" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--jordan", "0"], ["--jordan", "-2"], ["--random", "0"], ["--random", "-1"]]
+)
+def test_nrange_refuses_a_matrix_size_below_one(flags, capsys):
+    assert main(["nrange", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "below 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["nrange", "--jordan", "2", "--lam", "abc"], ["compress", "--lam", "abc"]],
+)
+def test_unreadable_lam_is_refused_by_name(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'abc'" in captured.err
+
+
+def test_nrange_refuses_a_small_boundary_grid_before_any_output(capsys, tmp_path):
+    out = tmp_path / "boundary.csv"
+    assert main(["nrange", "--jordan", "2", "--angles", "2", "--format", "csv",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "three angles" in captured.err
+    assert not out.exists()
+
+
 def test_tower_grid_variant(capsys):
     assert main(["tower", "--model", "grid:256", "--n", "16"]) == 0
     assert "pass" in capsys.readouterr().out

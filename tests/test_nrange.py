@@ -231,7 +231,36 @@ def test_pruned_sweep_solves_few_angles_on_a_random_matrix(monkeypatch):
     a = _random_matrix(16, 11)
     counts = _count_solves(monkeypatch)
     numerical_radius(a, 720)
-    assert 0 < counts["matrices"] < 400
+    assert 0 < counts["matrices"] <= 40
+
+
+def _coarse_angles(n_angles):
+    grid = 2.0 * math.pi * np.arange(n_angles) / n_angles
+    return grid[:(n_angles + 1) // 2 : max(1, min(32, n_angles // 8))]
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_antipodal_values_match_a_direct_solve(n):
+    # Re(e^{-i(t + pi)} A) = -Re(e^{-i t} A): minus the bottom eigenvalue
+    a = _random_matrix(n, 40 + n)
+    eps = 16.0 * n * _U * float(np.linalg.norm(a))
+    for n_angles in _GRIDS:
+        half = _coarse_angles(n_angles)
+        top, antipodal = nrange._support_values(a, half)
+        for got, t in ((top, half), (antipodal, half + math.pi)):
+            assert np.all(np.abs(got - _stacked_support(a, t)) <= 2.0 * eps)
+
+
+def test_dominant_eigenvalue_reached_only_through_an_antipode():
+    # arg(lambda) = pi + a coarse angle, so no coarse angle in [0, pi) sees it
+    t = _coarse_angles(720)[3] + math.pi
+    lam = 2.0 * np.exp(1j * t)
+    diag = np.diag([lam, 0.5, 0.3j, -0.4 - 0.2j])
+    out = radius_norm_bounds(diag)
+    assert out["radius"] <= abs(lam) <= out["radius_upper"]
+    assert out["radius_upper"] - out["radius"] <= 1e-8
+    _, theta = numerical_radius(diag)
+    assert abs(theta - t) <= 1e-6
 
 
 @pytest.mark.parametrize("n_angles", [13, 97, 720])
@@ -361,7 +390,7 @@ def test_zero_matrix_radius_stops_after_the_coarse_pass(monkeypatch):
     counts = _count_solves(monkeypatch)
     out = radius_norm_bounds(np.zeros((3, 3)))
     assert out["radius"] == out["radius_upper"] == 0.0
-    assert counts["matrices"] <= 90
+    assert counts["matrices"] <= 12
 
 
 def test_boundary_matches_the_looped_eigh():
