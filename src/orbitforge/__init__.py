@@ -1,10 +1,10 @@
 """Constructive certificates for operators with circles in their spectra.
 
-Windowed vectors and catalogued operator models (opcore), closed-form
-spectral descriptors (spectra), numerical range boundaries and membership
-witnesses (nrange), exact moment measures (moments), orbit / tower / zeroing
-constructions (witness), flat subspaces (flatten), verification
-suites (harness), and a command line (cli).
+Windowed vectors and operator models (vectors, operators), the essential
+circle of each model and approximate eigenvectors on it (spectra), numerical
+range boundaries and membership witnesses (nrange), exact moment measures
+(moments), orbit / tower / zeroing constructions (witness), flat subspaces
+(flatten), verification suites (harness), and a command line (cli).
 """
 
 from .certify import Check
@@ -27,7 +27,6 @@ from .flatten import (
     flat_report_csv,
     flat_subspace,
     sidon_set,
-    spectral_precondition,
     weak_decay_probe,
 )
 from .harness import (
@@ -58,11 +57,8 @@ from .operators import (
     ConstantWeights,
     DenseOperator,
     DiagonalUnitary,
-    FunctionWeights,
     MultiplicationGrid,
     OperatorPower,
-    PeriodicPhases,
-    PeriodicWeights,
     QuadraticIrrationalRotation,
     Subspace,
     UnilateralShift,
@@ -73,15 +69,8 @@ from .operators import (
 )
 from .spectra import (
     ApproxEigenpair,
-    Region,
-    SpectralInfo,
-    approx_eigenvector,
     approx_eigenvector_family,
-    circle_in_pi_essential,
-    hull_contains_zero,
     orbit_to_approx_eigenvector,
-    polynomial_hull,
-    spectral_descriptor,
 )
 from .vectors import BudgetMeter, WindowVector, inner, window_budget
 from .witness import (

@@ -44,14 +44,12 @@ from .errors import (
 from .certify import Check, require
 from .operators import (
     BilateralShift,
-    DenseOperator,
     DiagonalUnitary,
     MultiplicationGrid,
     Subspace,
     UnilateralShift,
     apply_power,
 )
-from .spectra import hull_contains_zero, spectral_descriptor
 from .vectors import BudgetMeter, WindowVector, cross_gram, gram
 
 __all__ = [
@@ -61,7 +59,6 @@ __all__ = [
     "flat_subspace",
     "next_prime",
     "sidon_set",
-    "spectral_precondition",
     "weak_decay_probe",
 ]
 
@@ -455,21 +452,3 @@ def flat_report_csv(report):
     for row in report["per_n"]:
         lines.append(f"{row['n']},{row['norm']:.12g},{row['stage_bound']:.12g}")
     return "\n".join(lines) + "\n"
-
-
-# -- spectral preconditions --------------------------------------------------------
-
-
-def spectral_precondition(op):
-    """(holds, reason): 0 in hull sigma_e, or the unit circle inside sigma."""
-    if isinstance(op, DenseOperator):
-        return False, "essential notions undefined at finite dimension"
-    try:
-        info = spectral_descriptor(op)
-    except UnsupportedModelError as exc:
-        return False, str(exc)
-    if hull_contains_zero(info.sigma_e):
-        return True, "0 lies in the polynomial hull of the essential spectrum"
-    if info.sigma.contains_circle(1.0):
-        return True, "the unit circle lies in the spectrum"
-    return False, "neither 0 in hull sigma_e nor the unit circle in sigma"

@@ -398,10 +398,3 @@ def emit_report(check, format="json"):
             out += ["", f"diagnostics: {check.diagnostics}"]
         return "\n".join(out) + "\n"
     raise DegenerateInputError(f"unknown report format {format!r}")
-
-
-def write_report(check, format, path):
-    text = emit_report(check, format)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path

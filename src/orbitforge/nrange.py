@@ -66,7 +66,6 @@ from .operators import (
 from .spectra import (
     approx_eigenvector_family,
     circle_radius,
-    essential_circle_route,
     phase_tolerance_turns,
 )
 from .vectors import BudgetMeter, WindowVector, combine, gram, inner, normalize
@@ -391,7 +390,6 @@ def we_membership_witness(ops, mu, delta, constraints=None, meter=None):
         raise DegenerateInputError("delta must be positive and finite")
     base, powers = _resolve_power_tuple(ops, len(mu))
     rho = circle_radius(base)
-    route_spec = essential_circle_route(base, rho)
     constraints = _constraint_support(constraints)
     meter = meter if meter is not None else BudgetMeter()
     used_on_entry = meter.used
@@ -451,7 +449,6 @@ def we_membership_witness(ops, mu, delta, constraints=None, meter=None):
         if abs(inner(x, c)) > 1e-12:
             raise NumericalError("witness failed a constraint orthogonality")
     params["entries_charged"] = meter.used - used_on_entry
-    params["spectral_route"] = route_spec
     return WitnessResult(
         vector=x,
         powers=powers,

@@ -27,7 +27,7 @@ TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# weight rules for shifts
+# shift weights
 
 
 class ConstantWeights:
@@ -42,69 +42,8 @@ class ConstantWeights:
     def sup_modulus(self):
         return abs(self.value)
 
-    def modulus_limits(self):
-        m = abs(self.value)
-        return (m, m)
-
     def to_json(self):
         return {"kind": "constant", "value": [self.value.real, self.value.imag]}
-
-
-class PeriodicWeights:
-    def __init__(self, values):
-        self.values = np.asarray(list(values), np.complex128)
-        if len(self.values) == 0 or np.any(self.values == 0):
-            raise DegenerateInputError("periodic weights must be nonempty and nonzero")
-
-    def at(self, indices):
-        return self.values[np.mod(indices, len(self.values))]
-
-    def sup_modulus(self):
-        return float(np.max(np.abs(self.values)))
-
-    def modulus_limits(self):
-        return None
-
-    def geometric_mean_modulus(self):
-        return float(np.exp(np.mean(np.log(np.abs(self.values)))))
-
-    def to_json(self):
-        return {
-            "kind": "periodic",
-            "values": [[v.real, v.imag] for v in self.values],
-        }
-
-
-class FunctionWeights:
-    """Arbitrary weight sequence given by a vectorized callable.
-
-    ``sup_modulus`` must be a declared, trusted bound: the catalogue and the
-    norm certificates lean on it and nothing here can verify it.  Declared
-    modulus limits at -inf/+inf unlock the spectral catalogue entries.
-    """
-
-    def __init__(self, fn, sup_modulus, limit_neg=None, limit_pos=None, inf_modulus=None):
-        self.fn = fn
-        self._sup = float(sup_modulus)
-        self.limit_neg = None if limit_neg is None else float(limit_neg)
-        self.limit_pos = None if limit_pos is None else float(limit_pos)
-        self.inf_modulus = None if inf_modulus is None else float(inf_modulus)
-        if self._sup <= 0:
-            raise DegenerateInputError("declared sup modulus must be positive")
-
-    def at(self, indices):
-        return np.asarray(self.fn(indices), np.complex128)
-
-    def sup_modulus(self):
-        return self._sup
-
-    def modulus_limits(self):
-        if self.limit_neg is None or self.limit_pos is None:
-            return None
-        return (self.limit_neg, self.limit_pos)
-
-    def to_json(self):
-        raise UnsupportedModelError("function-defined weights have no serial form")
 
 
 def weights_from_json(obj):
@@ -114,8 +53,6 @@ def weights_from_json(obj):
     if kind == "constant":
         re, im = obj["value"]
         return ConstantWeights(complex(re, im))
-    if kind == "periodic":
-        return PeriodicWeights(complex(re, im) for re, im in obj["values"])
     raise UnsupportedModelError(f"unknown weight rule kind {kind!r}")
 
 
@@ -242,25 +179,10 @@ class QuadraticIrrationalRotation:
         }
 
 
-class PeriodicPhases:
-    def __init__(self, phases):
-        self.values = np.asarray(list(phases), np.float64)
-        if len(self.values) == 0:
-            raise DegenerateInputError("need at least one phase")
-
-    def phases(self, indices):
-        return self.values[np.mod(indices, len(self.values))]
-
-    def to_json(self):
-        return {"kind": "periodic", "phases": [float(p) for p in self.values]}
-
-
 def phase_rule_from_json(obj):
     kind = obj.get("kind")
     if kind == "quadratic_irrational":
         return QuadraticIrrationalRotation(obj["a"], obj["b"], obj["c"], obj["d"])
-    if kind == "periodic":
-        return PeriodicPhases(obj["phases"])
     raise UnsupportedModelError(f"unknown phase rule kind {kind!r}")
 
 

@@ -1,31 +1,18 @@
-"""Spectral descriptors for the model catalogue.
+"""The essential circle of each model, and approximate eigenvectors on it.
 
-For the lazy models (shifts, diagonal unitaries, grids) the four spectral sets
-are known in closed form and are returned as :class:`Region` descriptors:
+Every construction of the paper assumes a circle inside the essential
+approximate point spectrum sigma_pi_e(T).  The constructions need two facts
+from that hypothesis: the circle's radius, or a refusal.
+:func:`circle_radius` is that one rule, and its docstring says for each
+model why the circle lies in sigma_pi_e.
 
-    sigma       spectrum
-    sigma_pi    approximate point spectrum
-    sigma_e     essential spectrum
-    sigma_pi_e  essential approximate point spectrum
-
-Every descriptor this module emits is falsifiable: the test suite checks each
-claimed sigma_pi point by producing an approximate eigenvector with small
-residual, and each claimed complement point by a resolvent bound.  Models
-whose spectral sets fall outside the region vocabulary are refused rather
-than approximated.
-
-Points of a spectral circle are realized by
-:func:`approx_eigenvector_family` as bare unit vectors whose cross terms
-vanish exactly, charged to the one :class:`~orbitforge.vectors.BudgetMeter`
-of the calling construction.  The orbit, tower and witness builders mix
-those vectors, and their certificates measure what the mix gives;
-:func:`approx_eigenvector` realizes a single point with its residual
-measured, for falsifying the catalogue.
-
-Dense matrices get an eigenvalue computation instead of a catalogue entry:
-:func:`dense_spectrum` takes LAPACK's eigenpairs and returns the eigenvalues
-together with a backward-error line re-measured from the raw pairs, so a
-caller never has to trust the eigensolver, only the residual check.
+Points of the circle are realized by :func:`approx_eigenvector_family` as
+bare unit vectors whose cross terms vanish exactly, charged to the one
+:class:`~orbitforge.vectors.BudgetMeter` of the calling construction.  The
+orbit, tower and witness builders mix those vectors, and their certificates
+measure what the mix gives.  :func:`orbit_to_approx_eigenvector` folds an
+orbit back into an approximate eigenvector, and :func:`verify_eigenpair`
+gives the lines that measure it.
 """
 
 from __future__ import annotations
@@ -36,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import UNIT_TOL, Check, require
+from .certify import UNIT_TOL, Check
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -49,256 +36,31 @@ from .operators import (
     ConstantWeights,
     DenseOperator,
     DiagonalUnitary,
-    FunctionWeights,
     MultiplicationGrid,
-    PeriodicPhases,
-    PeriodicWeights,
     QuadraticIrrationalRotation,
     UnilateralShift,
 )
 from .vectors import BudgetMeter, WindowVector, combine
 
-REGION_KINDS = ("empty", "points", "circle", "annulus", "disk")
-
-
-@dataclass(frozen=True)
-class Region:
-    """Origin-symmetric spectral region, or a finite point list.
-
-    circle(r) is the circumference |z| = r, disk(r) is |z| <= r, and
-    annulus(r_in, r_out) is r_in <= |z| <= r_out.  points carries an explicit
-    tuple of complex numbers.
-    """
-
-    kind: str
-    points: tuple = ()
-    r_in: float = 0.0
-    r_out: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in REGION_KINDS:
-            raise DegenerateInputError(f"unknown region kind {self.kind!r}")
-        if self.kind == "annulus" and not 0 <= self.r_in <= self.r_out:
-            raise DegenerateInputError("annulus radii must satisfy 0 <= r_in <= r_out")
-        if self.kind in ("circle", "disk") and self.r_out < 0:
-            raise DegenerateInputError("radius must be nonnegative")
-
-    def contains_point(self, z, tol=1e-9):
-        z = complex(z)
-        if self.kind == "empty":
-            return False
-        if self.kind == "points":
-            return any(abs(z - p) <= tol for p in self.points)
-        r = abs(z)
-        if self.kind == "circle":
-            return abs(r - self.r_out) <= tol
-        if self.kind == "disk":
-            return r <= self.r_out + tol
-        return self.r_in - tol <= r <= self.r_out + tol
-
-    def contains_circle(self, radius, tol=1e-9):
-        """Does the whole circumference |z| = radius sit inside the region?"""
-        radius = float(radius)
-        if self.kind == "circle":
-            return abs(radius - self.r_out) <= tol
-        if self.kind == "disk":
-            return radius <= self.r_out + tol
-        if self.kind == "annulus":
-            return self.r_in - tol <= radius <= self.r_out + tol
-        if self.kind == "points":
-            # a finite set contains a circle only when the circle degenerates
-            return radius <= tol and self.contains_point(0.0, tol)
-        return False
-
-    def to_json(self):
-        if self.kind == "points":
-            params = {"points": [[p.real, p.imag] for p in self.points]}
-        elif self.kind == "circle" or self.kind == "disk":
-            params = {"radius": self.r_out}
-        elif self.kind == "annulus":
-            params = {"r_in": self.r_in, "r_out": self.r_out}
-        else:
-            params = {}
-        return {"kind": self.kind, "params": params}
-
-
-def region_from_json(obj):
-    kind = obj["kind"]
-    params = obj.get("params", {})
-    if kind == "points":
-        return Region("points", points=tuple(complex(re, im) for re, im in params["points"]))
-    if kind in ("circle", "disk"):
-        return Region(kind, r_out=float(params["radius"]))
-    if kind == "annulus":
-        return Region(kind, r_in=float(params["r_in"]), r_out=float(params["r_out"]))
-    return Region("empty")
-
-
-def empty_region():
-    return Region("empty")
-
-
-def point_region(points):
-    return Region("points", points=tuple(complex(p) for p in points))
-
-
-def circle_region(radius):
-    return Region("circle", r_out=float(radius))
-
-
-def disk_region(radius):
-    return Region("disk", r_out=float(radius))
-
-
-def polynomial_hull(region):
-    """Fill the holes of a region.
-
-    A circle or annulus separates the plane, so its hull is the enclosing
-    disk.  A finite point set separates nothing and is its own hull; same for
-    a disk and the empty set.
-    """
-    if region.kind == "circle":
-        return disk_region(region.r_out)
-    if region.kind == "annulus":
-        return disk_region(region.r_out)
-    return region
-
-
-def hull_contains_zero(region, tol=1e-9):
-    return polynomial_hull(region).contains_point(0.0, tol)
-
-
-@dataclass(frozen=True)
-class SpectralInfo:
-    sigma: Region
-    sigma_pi: Region
-    sigma_e: Region
-    sigma_pi_e: Region
-
-    def to_json(self):
-        return {
-            "sigma": self.sigma.to_json(),
-            "sigma_pi": self.sigma_pi.to_json(),
-            "sigma_e": self.sigma_e.to_json(),
-            "sigma_pi_e": self.sigma_pi_e.to_json(),
-        }
-
-
-def _shift_modulus(weights):
-    """Single catalogue modulus of a weight rule, or an explanatory refusal."""
-    if weights is None:
-        return 1.0
-    if isinstance(weights, ConstantWeights):
-        return abs(weights.value)
-    if isinstance(weights, PeriodicWeights):
-        # gauge away the phases, then p-th power spectral mapping
-        return weights.geometric_mean_modulus()
-    if isinstance(weights, FunctionWeights):
-        lims = weights.modulus_limits()
-        if lims is None:
-            raise UnsupportedModelError(
-                "function weights need declared modulus limits at both ends"
-            )
-        if weights.inf_modulus is None or weights.inf_modulus <= 0:
-            raise UnsupportedModelError(
-                "function weights need a declared positive lower modulus bound"
-            )
-        if lims[0] != lims[1]:
-            raise UnsupportedModelError(
-                "unequal end limits give a two-circle essential spectrum, "
-                "which the region catalogue cannot express"
-            )
-        return lims[0]
-    raise UnsupportedModelError(f"unknown weight rule {type(weights).__name__}")
-
-
-def _diagonal_phase_points(rule):
-    if isinstance(rule, PeriodicPhases):
-        seen = []
-        for p in rule.values:
-            z = cmath.exp(1j * float(p))
-            if all(abs(z - q) > 1e-12 for q in seen):
-                seen.append(z)
-        return point_region(seen)
-    return None
-
-
-def spectral_descriptor(op):
-    """Closed-form spectral sets for a catalogued model."""
-    if isinstance(op, BilateralShift):
-        rho = _shift_modulus(op.weights)
-        c = circle_region(rho)
-        return SpectralInfo(c, c, c, c)
-    if isinstance(op, UnilateralShift):
-        rho = _shift_modulus(op.weights)
-        c = circle_region(rho)
-        return SpectralInfo(disk_region(rho), c, c, c)
-    if isinstance(op, DiagonalUnitary):
-        pts = _diagonal_phase_points(op.phase_rule)
-        if pts is not None:
-            return SpectralInfo(pts, pts, pts, pts)
-        if isinstance(op.phase_rule, QuadraticIrrationalRotation):
-            # irrational rotation: the phase orbit is dense, every circle
-            # point is an accumulation of eigenvalues, hence essential
-            c = circle_region(1.0)
-            return SpectralInfo(c, c, c, c)
-        raise UnsupportedModelError(
-            f"no catalogue entry for phase rule {type(op.phase_rule).__name__}"
-        )
-    if isinstance(op, MultiplicationGrid):
-        nodes = point_region(
-            [cmath.exp(2j * math.pi * k / op.dim) for k in range(op.dim)]
-        )
-        return SpectralInfo(nodes, nodes, empty_region(), empty_region())
-    if isinstance(op, DenseOperator):
-        eigs, _cert = dense_spectrum(op)
-        pts = point_region(eigs)
-        return SpectralInfo(pts, pts, empty_region(), empty_region())
-    raise UnsupportedModelError(f"no catalogue entry for {type(op).__name__}")
-
-
-def circle_in_pi_essential(op, radius=1.0, tol=1e-9):
-    """Decide circle(radius) <= sigma_pi_e(T), reporting which route fired.
-
-    Route "catalogue": the descriptor's sigma_pi_e already contains the
-    circle.  Route "hull": the circle sits in sigma while ||T|| keeps the
-    spectral radius at the circle's radius, which pins the circle to the
-    boundary of the spectrum; boundary spectrum of that kind is essential
-    approximate point spectrum.  Both routes are evaluated so a catalogue
-    regression cannot silently change the answer.
-    """
-    info = spectral_descriptor(op)
-    catalogue = info.sigma_pi_e.contains_circle(radius, tol)
-    hull = (
-        info.sigma.contains_circle(radius, tol)
-        and op.norm_bound() <= radius + tol
-    )
-    if catalogue or hull:
-        route = "catalogue" if catalogue else "hull"
-        if catalogue and hull:
-            route = "catalogue+hull"
-        return True, route
-    return False, "none"
-
-
-def essential_circle_route(op, radius=1.0):
-    """The route of :func:`circle_in_pi_essential`, or PreconditionError
-    when circle(radius) is not in sigma_pi_e(T)."""
-    ok, route = circle_in_pi_essential(op, radius)
-    if not ok:
-        raise PreconditionError(
-            f"the circle of radius {radius:g} is not in the essential approximate "
-            f"point spectrum of this {type(op).__name__}"
-        )
-    return route
-
 
 def circle_radius(op):
-    """Radius of the spectral circle whose points the family realizes.
+    """Radius of the circle in sigma_pi_e(T), or a refusal.
 
-    Shifts need a constant-modulus weight and diagonals a dense phase orbit;
-    finite-rank models get 1.0, so that :func:`essential_circle_route`
-    refuses them for their empty essential spectrum.
+    A point lam lies in sigma_pi_e(T) when some orthonormal sequence x_k has
+    ||T x_k - lam x_k|| -> 0.  Per model:
+
+    * a bilateral or unilateral shift with no weight or a constant weight w
+      gives |w| (1 with no weight): the eigen windows of
+      :func:`shift_eigen_window` at any lam with |lam| = |w| have residual
+      |lam| sqrt(2/m), and windows on disjoint supports are orthonormal;
+    * a diagonal unitary whose phases follow a quadratic irrational rotation
+      gives 1: the phase orbit is dense, so every arc of the unit circle
+      holds the phases of infinitely many basis vectors;
+    * a multiplication grid or a dense matrix is refused with
+      PreconditionError: in finite dimension no infinite orthonormal
+      sequence exists, so sigma_pi_e is empty.  No eigensolver runs.
+
+    Every other model is refused with UnsupportedModelError.
     """
     if isinstance(op, (BilateralShift, UnilateralShift)):
         if op.weights is None:
@@ -311,12 +73,15 @@ def circle_radius(op):
             return 1.0
         raise UnsupportedModelError("need a dense phase orbit on the diagonal")
     if isinstance(op, (DenseOperator, MultiplicationGrid)):
-        return 1.0
+        raise PreconditionError(
+            f"the essential approximate point spectrum of this {type(op).__name__} "
+            "is empty in finite dimension, so it holds no circle"
+        )
     raise UnsupportedModelError(f"no circle realization for {type(op).__name__}")
 
 
 # ---------------------------------------------------------------------------
-# approximate eigenvectors for catalogued models
+# approximate eigenvectors
 
 
 def _off_circle(lam, radius, tol):
@@ -350,7 +115,7 @@ def shift_eigen_window(op, lam, m, start=0):
     lam = complex(lam)
     if _off_circle(lam, abs(w), 1e-12):
         raise DegenerateInputError(
-            f"|lam| = {abs(lam)!r} is off the catalogued circle of radius {abs(w)!r}"
+            f"|lam| = {abs(lam)!r} is off the circle of radius {abs(w)!r}"
         )
     m = int(m)
     if m < 1:
@@ -371,71 +136,19 @@ def shift_eigen_window(op, lam, m, start=0):
     return WindowVector(idx, vals)
 
 
-def grid_eigen_vector(grid, node_index):
-    if not isinstance(grid, MultiplicationGrid):
-        raise UnsupportedModelError("need a multiplication grid")
-    node_index = int(node_index) % grid.dim
-    return WindowVector.basis(node_index)
-
-
-# ---------------------------------------------------------------------------
-# dense eigenvalues
-
-DENSE_SPECTRUM_CAP = 512
-_BACKWARD_TOL = 1e-8
-
-
-def dense_spectrum(op_or_matrix, tol=_BACKWARD_TOL):
-    """Eigenvalues of a dense matrix with a per-pair backward-error line.
-
-    LAPACK (``np.linalg.eig``) returns pairs (lam_k, v_k); the line
-    ``eigen_backward_error`` re-measures r_k = A v_k - lam_k v_k from them
-    and requires max_k ||r_k|| / (||A||_2 ||v_k||) <= tol.  Each lam_k is
-    then an exact eigenvalue of A - r_k v_k^H / ||v_k||^2, a matrix within
-    that relative distance of A.  The line vouches for each returned value;
-    it does not vouch for multiplicities or for the list being complete, and
-    no caller needs either.  A miss raises NumericalError rather than
-    returning unvouched numbers.  Returns the eigenvalues, sorted by real
-    then imaginary part, and ``{"backward_error", "check"}``.
-    """
-    if not isinstance(op_or_matrix, DenseOperator):
-        # refuses empty, non-square and non-finite matrices
-        op_or_matrix = DenseOperator(op_or_matrix)
-    a = op_or_matrix.matrix
-    n = a.shape[0]
-    if n > DENSE_SPECTRUM_CAP:
-        raise UnsupportedModelError(
-            f"dense spectra are capped at {DENSE_SPECTRUM_CAP}x{DENSE_SPECTRUM_CAP}, got {n}"
-        )
-
-    eigs, vecs = np.linalg.eig(a)
-    residuals = np.linalg.norm(a @ vecs - vecs * eigs, axis=0)
-    norm_a = float(np.linalg.norm(a, 2))
-    if norm_a > 0:
-        residuals = residuals / (norm_a * np.linalg.norm(vecs, axis=0))
-    line = Check.at_most("eigen_backward_error", np.max(residuals), tol)
-    require([line], "dense spectrum")
-    order = np.lexsort((eigs.imag, eigs.real))
-    return eigs[order], {"backward_error": line.measured, "check": line}
-
-
-# ---------------------------------------------------------------------------
-# approximate eigenvectors
-
-
 @dataclass(frozen=True)
 class ApproxEigenpair:
-    """Unit vector with a measured eigen-residual for a catalogued point.
+    """Unit vector folded from an orbit, with its measured eigen-residual.
 
     ``residual`` is always recomputed from the vector, never copied from the
-    construction.  ``raw_norm`` carries the norm of the unnormalized
-    combination when the pair came out of an orbit sum, 1.0 otherwise.
+    construction.  ``raw_norm`` is the norm of the orbit sum before it was
+    normalized.
     """
 
     lam: complex
     vector: WindowVector
     residual: float
-    raw_norm: float = 1.0
+    raw_norm: float
 
 
 def _shift_window(op, lam, m, start):
@@ -447,43 +160,6 @@ def _shift_window(op, lam, m, start):
             f"|lam| = {abs(lam)!r} is not on the spectral circle of radius {rho!r}"
         )
     return shift_eigen_window(op, lam, m, start=start)
-
-
-def _require_unimodular(lam, what):
-    if _off_circle(lam, 1.0, 1e-9):
-        raise DomainError(f"{what} spectrum lives on the unit circle")
-
-
-def approx_eigenvector(op, lam, m, start=0):
-    """Approximate eigenvector for a catalogued sigma_pi point.
-
-    Shift models get the window profile (residual |lam| sqrt(2/m) exactly);
-    diagonal and grid models get the basis vector with the closest phase in
-    the index window [start, start + m).  The residual is measured from the
-    returned vector.
-    """
-    lam = complex(lam)
-    m = int(m)
-    if m < 2:
-        raise DegenerateInputError("window length must be at least 2")
-    if isinstance(op, (BilateralShift, UnilateralShift)):
-        x = _shift_window(op, lam, m, start)
-    elif isinstance(op, DiagonalUnitary):
-        _require_unimodular(lam, "diagonal unitary")
-        if op.index_set == "N" and start < 0:
-            raise DegenerateInputError("half-line index window cannot start below 0")
-        idx = np.arange(start, start + m, dtype=np.int64)
-        factors = np.exp(1j * op.phase_rule.phases(idx))
-        x = WindowVector.basis(int(idx[np.argmin(np.abs(factors - lam))]))
-    elif isinstance(op, MultiplicationGrid):
-        _require_unimodular(lam, "grid multiplication")
-        turn = (cmath.phase(lam) / (2.0 * math.pi)) % 1.0
-        x = grid_eigen_vector(op, int(round(turn * op.dim)) % op.dim)
-    else:
-        raise UnsupportedModelError(
-            f"no approximate-eigenvector recipe for {type(op).__name__}"
-        )
-    return ApproxEigenpair(lam, x, (op.apply(x) - lam * x).norm())
 
 
 def phase_tolerance_turns(m):
@@ -541,7 +217,8 @@ def approx_eigenvector_family(op, lambdas, m, margin=None, constraints=None, met
         tol_turn = phase_tolerance_turns(m)
         out = []
         for lam in lambdas:
-            _require_unimodular(lam, "diagonal unitary")
+            if _off_circle(lam, 1.0, 1e-9):
+                raise DomainError("diagonal unitary spectrum lives on the unit circle")
             turn = (cmath.phase(lam) / (2.0 * math.pi)) % 1.0
             k = op.phase_rule.find_index(turn, tol_turn, exclude=used)
             used.add(k)

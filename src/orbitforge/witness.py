@@ -1,6 +1,6 @@
 """Orbit-geometry constructions with recomputed certificates.
 
-Four constructions live here, all on the catalogued infinite models:
+Four constructions live here:
 
 * :func:`zero_tuple_vector` drives every quadratic form <T^p x, x> of a power
   tuple to zero by a staged iteration.  Each stage adds an increment from
@@ -42,7 +42,7 @@ from .certify import UNIT_TOL, Check, by_label, require
 from .moments import admissible_radius
 from .nrange import _resolve_power_tuple, we_membership_witness
 from .operators import TWO_PI, DiagonalUnitary, MultiplicationGrid, power_forms
-from .spectra import approx_eigenvector_family, circle_radius, essential_circle_route
+from .spectra import approx_eigenvector_family, circle_radius
 from .vectors import (
     BudgetMeter,
     WindowVector,
@@ -314,9 +314,7 @@ def zero_tuple_vector(
     start_stage = int(start_stage)
     if start_stage < 0:
         raise DegenerateInputError("start_stage must be nonnegative")
-    rho = circle_radius(base)
-    essential_circle_route(base, rho)
-    radius = admissible_radius(rho, max(powers))
+    radius = admissible_radius(circle_radius(base), max(powers))
     meter = BudgetMeter(window_budget)
     avoid = list(avoid or ())
 
@@ -423,6 +421,16 @@ def _unit_roots(n):
     return np.exp(2j * math.pi * np.arange(n) / n)
 
 
+def _require_unit_circle(base):
+    """Refuse a model whose essential circle is not the unit circle: the
+    orbit and the tower realize the n-th roots of unity."""
+    if abs(circle_radius(base) - 1.0) > 1e-9:
+        raise PreconditionError(
+            "the circle of radius 1 is not in the essential approximate "
+            f"point spectrum of this {type(base).__name__}"
+        )
+
+
 def almost_orthogonal_orbit(base, n, eps, window_budget=None):
     """Unit x whose orbit under T is almost orthonormal and almost periodic.
 
@@ -442,7 +450,7 @@ def almost_orthogonal_orbit(base, n, eps, window_budget=None):
     eps = float(eps)
     if not 0.0 < eps < 1.0:
         raise DegenerateInputError("eps must lie in (0, 1)")
-    route = essential_circle_route(base)
+    _require_unit_circle(base)
     nb = base.norm_bound()
     eps_prime = eps / (4.0 * n ** 1.5 * nb ** (2 * n))
     meter = BudgetMeter(window_budget)
@@ -481,7 +489,6 @@ def almost_orthogonal_orbit(base, n, eps, window_budget=None):
     cert = verify_orbit(base, x, n, eps)
     cert.params = {
         "model": base.kind,
-        "spectral_route": route,
         "window_length": m,
         "proof_window_length": m_proof,
         "budget_limited": budget_limited,
@@ -551,7 +558,7 @@ def rokhlin_tower(base, n, eps, u=None, window_budget=None):
             f"tower of height {n} needs n > {threshold:g}",
             minimal_n=minimal,
         )
-    route = essential_circle_route(base)
+    _require_unit_circle(base)
     if u is None:
         u = WindowVector.basis(0)
     if abs(u.norm() - 1.0) > 1e-9:
@@ -601,7 +608,6 @@ def rokhlin_tower(base, n, eps, u=None, window_budget=None):
     tower = verify_rokhlin_tower(base, w, u, eps)
     tower.params = {
         "model": base.kind,
-        "spectral_route": route,
         "window_length": m,
         "proof_window_length": m_proof,
         "budget_limited": budget_limited,

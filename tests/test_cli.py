@@ -209,6 +209,28 @@ def test_replay_flags_tampered_report(tmp_path, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"kind": "bilateral_shift",
+         "params": {"weights": {"kind": "periodic", "values": [[1.0, 0.0], [4.0, 0.0]]}}},
+        {"kind": "diagonal_unitary",
+         "params": {"phases": {"kind": "periodic", "phases": [0.0, 0.25]}}},
+    ],
+    ids=["weights", "phases"],
+)
+def test_verify_refuses_periodic_rule_kinds(model, tmp_path, capsys):
+    # only constant weights and quadratic irrational phases have an
+    # essential circle, and only they have a serial form
+    cfg = tmp_path / "periodic.json"
+    cfg.write_text(json.dumps({
+        "command": "verify", "model": model, "params": {"check": "tuple_zeroing"},
+    }))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "refused" in err and "kind 'periodic'" in err
+
+
 def test_verify_failure_exits_one(capsys):
     # unreachable tolerance: the construction runs, misses its certificate
     cfg_text = (

@@ -23,7 +23,6 @@ from orbitforge.flatten import (
     flat_subspace,
     next_prime,
     sidon_set,
-    spectral_precondition,
     weak_decay_probe,
 )
 from orbitforge.operators import (
@@ -31,9 +30,7 @@ from orbitforge.operators import (
     ConstantWeights,
     DenseOperator,
     DiagonalUnitary,
-    FunctionWeights,
     MultiplicationGrid,
-    PeriodicPhases,
     QuadraticIrrationalRotation,
     UnilateralShift,
 )
@@ -262,33 +259,3 @@ def test_stage_counts_certify_their_thresholds(eps):
         s_r = stage_count_oracle(eps, r)
         thr = Fraction(eps) / (2 ** (r + 3) * (r + 1))
         assert Fraction(s_r) * thr * thr > 16
-
-
-# -- spectral preconditions ------------------------------------------------------------
-
-
-def test_precondition_routes():
-    ok, why = spectral_precondition(BilateralShift())
-    assert ok and "hull" in why
-    ok, why = spectral_precondition(BilateralShift(ConstantWeights(0.5)))
-    assert ok and "hull" in why
-    ok, why = spectral_precondition(UnilateralShift())
-    assert ok
-    ok, why = spectral_precondition(DenseOperator(np.eye(2)))
-    assert not ok and "finite dimension" in why
-    ok, why = spectral_precondition(DiagonalUnitary(PeriodicPhases([0.0, math.pi])))
-    assert not ok
-    ok, why = spectral_precondition(MultiplicationGrid(16))
-    assert not ok
-
-
-def test_precondition_reports_catalogue_gaps():
-    w = FunctionWeights(
-        lambda k: np.where(np.asarray(k) < 0, 0.5, 1.0).astype(complex),
-        sup_modulus=1.0,
-        limit_neg=0.5,
-        limit_pos=1.0,
-        inf_modulus=0.5,
-    )
-    ok, why = spectral_precondition(BilateralShift(w))
-    assert not ok and "two-circle" in why

@@ -16,7 +16,6 @@ from orbitforge.harness import (
     exit_code,
     run_all,
     run_check,
-    write_report,
 )
 from orbitforge.operators import (
     BilateralShift,
@@ -89,13 +88,6 @@ def test_emit_report_rejects_unknown_format():
     c = run_check("moment_exact")
     with pytest.raises(DegenerateInputError):
         emit_report(c, "xml")
-
-
-def test_write_report_matches_emit(tmp_path):
-    c = run_check("moment_exact")
-    path = tmp_path / "report.json"
-    write_report(c, "json", path)
-    assert path.read_text(encoding="utf-8") == emit_report(c, "json")
 
 
 def test_unknown_check_id_is_refused():

@@ -29,8 +29,6 @@ from orbitforge.operators import (
     DiagonalUnitary,
     MultiplicationGrid,
     OperatorPower,
-    PeriodicPhases,
-    PeriodicWeights,
     QuadraticIrrationalRotation,
     UnilateralShift,
     apply_power,
@@ -496,15 +494,6 @@ def test_witness_refuses_dense_and_grid_models():
     grid = MultiplicationGrid(8)
     with pytest.raises(PreconditionError):
         we_membership_witness(grid, [0.1], 0.01)
-
-
-def test_witness_refuses_uncatalogued_rules():
-    varying = BilateralShift(weights=PeriodicWeights([1.0, 4.0]))
-    with pytest.raises(UnsupportedModelError):
-        we_membership_witness(varying, [0.1], 0.01)
-    periodic = DiagonalUnitary(PeriodicPhases([0.0, 0.25]))
-    with pytest.raises(UnsupportedModelError):
-        we_membership_witness(periodic, [0.1], 0.01)
 
 
 def test_witness_input_validation():

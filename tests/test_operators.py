@@ -8,18 +8,14 @@ from orbitforge.errors import (
     DegenerateInputError,
     DimensionMismatchError,
     ResolutionError,
-    UnsupportedModelError,
 )
 from orbitforge.operators import (
     BilateralShift,
     ConstantWeights,
     DenseOperator,
     DiagonalUnitary,
-    FunctionWeights,
     MultiplicationGrid,
     OperatorPower,
-    PeriodicPhases,
-    PeriodicWeights,
     QuadraticIrrationalRotation,
     Subspace,
     UnilateralShift,
@@ -51,10 +47,10 @@ def test_unilateral_shift_refuses_negative_support():
 
 
 def test_weighted_shift_values():
-    s = BilateralShift(PeriodicWeights([2.0, 3.0]))
-    v = WindowVector.from_pairs([(0, 1.0), (1, 1.0)])
+    s = BilateralShift(ConstantWeights(-3.0j))
+    v = WindowVector.from_pairs([(0, 1.0), (1, 2.0)])
     w = s.apply(v)
-    assert w[1] == 2.0 and w[2] == 3.0
+    assert w[1] == -3.0j and w[2] == -6.0j
     assert s.norm_bound() == 3.0
 
 
@@ -69,9 +65,13 @@ def test_apply_power_fast_path_matches_stepwise():
 
 
 def test_apply_power_weighted_is_stepwise():
-    s = UnilateralShift(PeriodicWeights([1.0, 0.5]))
-    v = WindowVector.basis(0)
-    assert apply_power(s, v, 3)[3] == pytest.approx(1.0 * 0.5 * 1.0)
+    s = UnilateralShift(ConstantWeights(0.5 + 0.25j))
+    v = WindowVector.from_pairs([(0, 1.0), (2, -1j)])
+    step = v
+    for _ in range(3):
+        step = s.apply(step)
+    assert apply_power(s, v, 3) == step
+    assert step[3] == pytest.approx((0.5 + 0.25j) ** 3)
 
 
 def test_flat_window_gram_identity():
@@ -139,14 +139,6 @@ def test_diagonal_unitary_preserves_norm(v):
     assert t.apply(v).norm() == pytest.approx(v.norm(), abs=1e-9)
 
 
-def test_periodic_phases_rule():
-    t = DiagonalUnitary(PeriodicPhases([0.0, np.pi]), index_set="N")
-    v = WindowVector.from_pairs([(0, 1.0), (1, 1.0)])
-    w = t.apply(v)
-    assert w[0] == pytest.approx(1.0)
-    assert w[1] == pytest.approx(-1.0)
-
-
 def test_multiplication_grid_acts_by_nodes():
     g = MultiplicationGrid(4)
     v = WindowVector.from_pairs([(0, 1.0), (1, 1.0), (2, 1.0)])
@@ -204,14 +196,6 @@ def test_dense_norm_enclosure_holds_across_a_small_singular_gap(gap):
     assert hi - lo <= 2.0 * spectral_error_bound(op.matrix) + 2.0 * np.spacing(hi)
 
 
-def test_function_weights_need_declared_sup():
-    w = FunctionWeights(lambda idx: np.exp(-np.abs(idx)), sup_modulus=1.0)
-    s = BilateralShift(w)
-    assert s.norm_bound() == 1.0
-    with pytest.raises(UnsupportedModelError):
-        w.to_json()
-
-
 def test_compress_matches_dense_oracle():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -225,10 +209,9 @@ def test_compress_matches_dense_oracle():
 def test_operator_json_round_trip():
     ops = [
         BilateralShift(),
-        BilateralShift(PeriodicWeights([1.0, 2.0])),
+        BilateralShift(ConstantWeights(2.0)),
         UnilateralShift(ConstantWeights(0.5j)),
         DiagonalUnitary(QuadraticIrrationalRotation(), index_set="N"),
-        DiagonalUnitary(PeriodicPhases([0.1, 0.2])),
         MultiplicationGrid(3, measure=[1, 2, 3]),
         DenseOperator([[1.0, 2j], [0.0, -1.0]]),
     ]

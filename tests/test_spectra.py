@@ -8,6 +8,7 @@ import pytest
 from orbitforge.errors import (
     DegenerateInputError,
     DomainError,
+    PreconditionError,
     UnsupportedModelError,
     WindowBudgetError,
 )
@@ -16,170 +17,47 @@ from orbitforge.operators import (
     ConstantWeights,
     DenseOperator,
     DiagonalUnitary,
-    FunctionWeights,
     MultiplicationGrid,
-    PeriodicPhases,
-    PeriodicWeights,
+    OperatorPower,
     QuadraticIrrationalRotation,
     UnilateralShift,
 )
 from orbitforge.spectra import (
-    Region,
-    approx_eigenvector,
     approx_eigenvector_family,
-    circle_in_pi_essential,
-    circle_region,
-    dense_spectrum,
-    disk_region,
-    grid_eigen_vector,
-    hull_contains_zero,
+    circle_radius,
     orbit_to_approx_eigenvector,
-    point_region,
-    polynomial_hull,
-    region_from_json,
     shift_eigen_window,
-    spectral_descriptor,
 )
 from orbitforge.vectors import BudgetMeter, WindowVector, inner, normalize
 from orbitforge.witness import almost_orthogonal_orbit
 
 
-# -- regions ------------------------------------------------------------
+# -- the essential circle -------------------------------------------------
 
 
-def test_region_membership():
-    c = circle_region(2.0)
-    assert c.contains_point(2j)
-    assert not c.contains_point(1.9 + 0j)
-    a = Region("annulus", r_in=1.0, r_out=2.0)
-    assert a.contains_circle(1.5)
-    assert not a.contains_circle(0.5)
-    d = disk_region(1.0)
-    assert d.contains_circle(0.3) and d.contains_circle(1.0)
-    pts = point_region([1.0, 1j])
-    assert pts.contains_point(1j)
-    assert not pts.contains_circle(1.0)
+def test_circle_radius_of_a_shift_is_its_weight_modulus():
+    assert circle_radius(BilateralShift()) == 1.0
+    assert circle_radius(UnilateralShift()) == 1.0
+    assert circle_radius(BilateralShift(ConstantWeights(2j))) == 2.0
+    assert circle_radius(UnilateralShift(ConstantWeights(0.5j))) == 0.5
 
 
-def test_polynomial_hull_fills_holes():
-    assert polynomial_hull(circle_region(1.0)) == disk_region(1.0)
-    assert polynomial_hull(Region("annulus", r_in=0.5, r_out=2.0)) == disk_region(2.0)
-    pts = point_region([1.0, -1.0])
-    assert polynomial_hull(pts) == pts  # finite sets are their own hull
-    assert hull_contains_zero(circle_region(1.0))
-    assert not hull_contains_zero(pts)
+def test_circle_radius_of_a_dense_phase_orbit_is_one():
+    for d in (2, 5):
+        op = DiagonalUnitary(QuadraticIrrationalRotation(d=d))
+        assert circle_radius(op) == 1.0
 
 
-def test_region_json_round_trip():
-    for r in [
-        circle_region(0.5),
-        disk_region(2.0),
-        Region("annulus", r_in=1.0, r_out=3.0),
-        point_region([1 + 2j, -1j]),
-        Region("empty"),
-    ]:
-        assert region_from_json(r.to_json()) == r
-
-
-def test_region_validation():
-    with pytest.raises(DegenerateInputError):
-        Region("blob")
-    with pytest.raises(DegenerateInputError):
-        Region("annulus", r_in=2.0, r_out=1.0)
-
-
-# -- catalogue descriptors ---------------------------------------------
-
-
-def test_bilateral_shift_descriptor():
-    info = spectral_descriptor(BilateralShift())
-    for region in (info.sigma, info.sigma_pi, info.sigma_e, info.sigma_pi_e):
-        assert region == circle_region(1.0)
-
-
-def test_unilateral_shift_descriptor():
-    info = spectral_descriptor(UnilateralShift())
-    assert info.sigma == disk_region(1.0)
-    assert info.sigma_pi == circle_region(1.0)
-    assert info.sigma_e == circle_region(1.0)
-    assert info.sigma_pi_e == circle_region(1.0)
-
-
-def test_weighted_shift_descriptors():
-    assert spectral_descriptor(
-        BilateralShift(ConstantWeights(2j))
-    ).sigma == circle_region(2.0)
-    # geometric mean of |1| and |4| is 2
-    assert spectral_descriptor(
-        BilateralShift(PeriodicWeights([1.0, 4.0]))
-    ).sigma == circle_region(2.0)
-    fw = FunctionWeights(
-        lambda i: 1.0 + 0.5 ** np.abs(i),
-        sup_modulus=2.0,
-        limit_neg=1.0,
-        limit_pos=1.0,
-        inf_modulus=1.0,
-    )
-    assert spectral_descriptor(BilateralShift(fw)).sigma_e == circle_region(1.0)
-
-
-def test_weighted_shift_catalogue_refusals():
-    unequal = FunctionWeights(
-        lambda i: np.where(i < 0, 1.0, 2.0),
-        sup_modulus=2.0,
-        limit_neg=1.0,
-        limit_pos=2.0,
-        inf_modulus=1.0,
-    )
+def test_circle_radius_refuses_finite_dimension_and_other_models():
+    # the essential approximate point spectrum is empty in finite dimension
+    for op in (MultiplicationGrid(16), DenseOperator(np.eye(4)), DenseOperator(np.eye(600))):
+        with pytest.raises(PreconditionError, match="empty in finite dimension"):
+            circle_radius(op)
     with pytest.raises(UnsupportedModelError):
-        spectral_descriptor(BilateralShift(unequal))
-    no_inf = FunctionWeights(
-        lambda i: np.ones(len(i)), sup_modulus=1.0, limit_neg=1.0, limit_pos=1.0
-    )
-    with pytest.raises(UnsupportedModelError):
-        spectral_descriptor(BilateralShift(no_inf))
+        circle_radius(OperatorPower(BilateralShift(), 2))
 
 
-def test_diagonal_unitary_descriptors():
-    dense = spectral_descriptor(DiagonalUnitary(QuadraticIrrationalRotation()))
-    assert dense.sigma_pi_e == circle_region(1.0)
-    finite = spectral_descriptor(DiagonalUnitary(PeriodicPhases([0.0, np.pi])))
-    assert finite.sigma.kind == "points"
-    assert finite.sigma.contains_point(1.0) and finite.sigma.contains_point(-1.0)
-    assert len(finite.sigma.points) == 2
-
-
-def test_multiplication_grid_descriptor():
-    info = spectral_descriptor(MultiplicationGrid(4))
-    assert info.sigma.kind == "points"
-    assert info.sigma.contains_point(1j)
-    assert info.sigma_e.kind == "empty"
-    assert not hull_contains_zero(info.sigma)
-
-
-def test_dense_descriptor_uses_eigenvalues():
-    a = np.diag([1.0, 2.0, 3.0])
-    info = spectral_descriptor(DenseOperator(a))
-    assert info.sigma.kind == "points"
-    assert info.sigma.contains_point(2.0, tol=1e-8)
-    assert info.sigma_e.kind == "empty"
-
-
-# -- inclusion rule ------------------------------------------------------
-
-
-def test_circle_in_pi_essential_routes():
-    ok, route = circle_in_pi_essential(BilateralShift())
-    assert ok and route == "catalogue+hull"
-    ok, route = circle_in_pi_essential(UnilateralShift())
-    assert ok and route == "catalogue+hull"
-    ok, route = circle_in_pi_essential(DiagonalUnitary(PeriodicPhases([0.0, 1.0])))
-    assert not ok and route == "none"
-    ok, _ = circle_in_pi_essential(BilateralShift(), radius=0.5)
-    assert not ok
-
-
-# -- approximate eigenvectors (falsify the catalogue claims) -------------
+# -- eigen windows -------------------------------------------------------
 
 
 def test_eigen_window_residual_matches_claim():
@@ -262,138 +140,50 @@ def test_unilateral_interior_points_are_not_approx_eigenvalues():
         assert res >= 0.5 * v.norm() - 1e-9
 
 
-def test_grid_eigen_vector_is_exact():
-    g = MultiplicationGrid(8)
-    v = grid_eigen_vector(g, 3)
-    lam = complex(np.exp(2j * np.pi * 3 / 8))
-    assert (g.apply(v) - lam * v).norm() <= 1e-15
-
-
-# -- dense eigenvalues ----------------------------------------------------
-
-
-def assert_same_multiset(got, want, tol):
-    got = sorted(got, key=lambda z: (z.real, z.imag))
-    want = sorted(want, key=lambda z: (z.real, z.imag))
-    assert len(got) == len(want)
-    # nearest-neighbor matching after sorting can still mismatch ties, so
-    # greedily match each wanted eigenvalue to the closest remaining one
-    remaining = list(got)
-    for w in want:
-        dists = [abs(w - g) for g in remaining]
-        k = int(np.argmin(dists))
-        assert dists[k] <= tol, f"eigenvalue {w} unmatched, nearest at {dists[k]:.2e}"
-        remaining.pop(k)
-
-
-@pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (8, 2), (24, 3), (64, 4)])
-def test_dense_spectrum_matches_numpy(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    eigs, cert = dense_spectrum(a)
-    assert cert["backward_error"] <= 1e-8
-    assert_same_multiset(eigs, np.linalg.eigvals(a), tol=1e-6 * np.linalg.norm(a))
-
-
-def test_dense_spectrum_hermitian_and_unitary():
-    rng = np.random.default_rng(9)
-    b = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    herm = (b + b.conj().T) / 2
-    eigs, _ = dense_spectrum(herm)
-    assert np.max(np.abs(eigs.imag)) <= 1e-8
-    assert_same_multiset(eigs, np.linalg.eigvalsh(herm).astype(complex), tol=1e-7)
-    uni, _ = np.linalg.qr(b)
-    eigs, _ = dense_spectrum(uni)
-    assert np.max(np.abs(np.abs(eigs) - 1.0)) <= 1e-8
-
-
-def test_dense_spectrum_defective_matrix():
-    jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
-    eigs, cert = dense_spectrum(jordan)
-    np.testing.assert_allclose(eigs, [0.0, 0.0], atol=1e-12)
-    assert cert["backward_error"] <= 1e-12
-
-
-def test_dense_spectrum_repeated_eigenvalues():
-    a = np.diag([2.0, 2.0, 1.0]).astype(complex)
-    a[0, 2] = 5.0
-    eigs, _ = dense_spectrum(a)
-    assert_same_multiset(eigs, [1.0, 2.0, 2.0], tol=1e-9)
-
-
-@pytest.mark.parametrize("k", [8, 16])
-def test_dense_spectrum_vouches_for_jordan_blocks_and_their_similarity_transforms(k):
-    jordan = np.eye(k, k=1, dtype=complex)
-    rng = np.random.default_rng(k)
-    s = np.eye(k) + 0.3 * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
-    for a in (jordan, s @ jordan @ np.linalg.inv(s)):
-        eigs, cert = dense_spectrum(a)
-        line = cert["check"]
-        assert line.label == "eigen_backward_error" and line.passed
-        assert line.measured == cert["backward_error"] <= line.bound == 1e-8
-        assert len(eigs) == k
-
-
-def test_dense_spectrum_cap_and_validation():
-    with pytest.raises(UnsupportedModelError):
-        dense_spectrum(np.eye(513))
-    with pytest.raises(DegenerateInputError):
-        dense_spectrum(np.zeros((2, 3)))
-
-
 # -- approximate eigenvectors ------------------------------------------------
 
 
-def test_approx_eigenvector_residual_closed_form():
-    # triangular window profile: residual is |lam| sqrt(2/m) on the nose
+def test_family_residual_closed_form():
+    # the window profile's residual is |lam| sqrt(2/m) on the nose
     op = BilateralShift()
     for m in (16, 256, 4096):
-        pair = approx_eigenvector(op, 1j, m)
-        assert pair.vector.norm() == pytest.approx(1.0, abs=1e-12)
-        assert pair.residual == pytest.approx(math.sqrt(2.0 / m), rel=1e-12)
-        lo, hi = pair.vector.support_range()
+        (u,) = approx_eigenvector_family(op, [1j], m)
+        assert u.norm() == pytest.approx(1.0, abs=1e-12)
+        assert (op.apply(u) - 1j * u).norm() == pytest.approx(math.sqrt(2.0 / m), rel=1e-12)
+        lo, hi = u.support_range()
         assert hi - lo + 1 == m
 
 
 @pytest.mark.parametrize("k", range(0, 32, 5))
-def test_approx_eigenvector_any_circle_point(k):
+def test_family_any_circle_point(k):
     op = UnilateralShift(ConstantWeights(0.5j))
     lam = 0.5 * np.exp(2j * math.pi * k / 32)
-    pair = approx_eigenvector(op, lam, 64, start=3)
-    assert pair.residual == pytest.approx(0.5 * math.sqrt(2.0 / 64), rel=1e-12)
-    assert pair.vector.support_range()[0] == 3
-    img = op.apply(pair.vector) - lam * pair.vector
-    assert img.norm() == pytest.approx(pair.residual, abs=1e-15)
+    # a constraint at 0 with margin 2 starts the window at index 3
+    (u,) = approx_eigenvector_family(
+        op, [lam], 64, margin=2, constraints=[WindowVector.basis(0)]
+    )
+    assert u.support_range()[0] == 3
+    residual = (op.apply(u) - lam * u).norm()
+    assert residual == pytest.approx(0.5 * math.sqrt(2.0 / 64), rel=1e-12)
 
 
-def test_approx_eigenvector_rejects_wrong_modulus():
+def test_family_rejects_wrong_modulus():
     with pytest.raises(DomainError):
-        approx_eigenvector(BilateralShift(), 0.5, 32)
+        approx_eigenvector_family(BilateralShift(), [0.5], 32)
     with pytest.raises(DegenerateInputError):
-        approx_eigenvector(BilateralShift(), 1.0, 1)
+        approx_eigenvector_family(BilateralShift(), [1.0], 1)
 
 
-def test_approx_eigenvector_refuses_a_modulus_the_window_refuses():
+def test_family_refuses_a_modulus_the_window_refuses():
     # 1e-10 off the circle: the window's 1e-12 test would refuse it, so the
     # shift branch refuses it first, as a domain error with both moduli
     with pytest.raises(DomainError) as exc:
-        approx_eigenvector(BilateralShift(), 1 + 1e-10, 8)
+        approx_eigenvector_family(BilateralShift(), [1 + 1e-10], 8)
     assert repr(abs(1 + 1e-10)) in str(exc.value) and "1.0" in str(exc.value)
     with pytest.raises(DomainError):
-        approx_eigenvector(UnilateralShift(ConstantWeights(2j)), 2 - 1e-10, 8)
-    assert approx_eigenvector(BilateralShift(), np.exp(0.3j), 8).residual > 0
-
-
-def test_approx_eigenvector_diagonal_picks_nearest_phase():
-    rot = QuadraticIrrationalRotation(2)
-    op = DiagonalUnitary(rot)
-    lam = np.exp(2j * math.pi * 0.3)
-    pair = approx_eigenvector(op, lam, 2048, start=-1024)
-    k, _ = pair.vector.support_range()
-    assert pair.vector[k] == pytest.approx(1.0)
-    # basis vectors are exact eigenvectors at their own phase
-    phase = rot.phases(np.array([k]))[0]
-    assert pair.residual == pytest.approx(abs(np.exp(1j * phase) - lam), abs=1e-15)
+        approx_eigenvector_family(UnilateralShift(ConstantWeights(2j)), [2 - 1e-10], 8)
+    (u,) = approx_eigenvector_family(BilateralShift(), [np.exp(0.3j)], 8)
+    assert (BilateralShift().apply(u) - np.exp(0.3j) * u).norm() > 0
 
 
 def test_family_cross_grams_vanish_exactly():
@@ -442,7 +232,7 @@ def test_family_diagonal_distinct_indices():
 )
 def test_family_shift_branch_refuses_an_off_circle_lambda(lam):
     # the windows' unit norm holds only on the circle, so the shift branch
-    # refuses like approx_eigenvector does, before shift_eigen_window can
+    # refuses with a domain error, before shift_eigen_window can
     with pytest.raises(DomainError, match="not on the spectral circle"):
         approx_eigenvector_family(BilateralShift(), [1.0, lam], 8)
 
@@ -480,11 +270,9 @@ def test_nan_eigenvalues_are_refused():
     with pytest.raises(DegenerateInputError):
         shift_eigen_window(BilateralShift(), nan, 8)
     diagonal = DiagonalUnitary(QuadraticIrrationalRotation(2))
-    for op in (BilateralShift(), diagonal, MultiplicationGrid(16)):
+    for op in (BilateralShift(), diagonal):
         with pytest.raises(DomainError):
-            approx_eigenvector(op, nan, 8)
-    with pytest.raises(DomainError):
-        approx_eigenvector_family(diagonal, [nan], 8)
+            approx_eigenvector_family(op, [nan], 8)
     with pytest.raises(DomainError):
         orbit_to_approx_eigenvector(BilateralShift(), WindowVector.basis(0), nan, 3)
 

@@ -25,6 +25,8 @@ from orbitforge.operators import (
     UnilateralShift,
 )
 from orbitforge import witness
+from orbitforge.harness import build_model
+from orbitforge.nrange import we_membership_witness
 from orbitforge.vectors import WindowVector, add_scaled, inner, normalize
 from orbitforge.witness import (
     almost_orthogonal_orbit,
@@ -168,8 +170,48 @@ def test_zero_tuple_vector_ladder_start():
 
 def test_zeroing_rejects_dense_models():
     a = DenseOperator(np.eye(3, dtype=complex))
-    with pytest.raises((PreconditionError, UnsupportedModelError)):
+    with pytest.raises(PreconditionError):
         zero_tuple_vector((a,))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DenseOperator(np.eye(600)),
+        lambda: DenseOperator(np.eye(4)),
+        lambda: MultiplicationGrid(16),
+    ],
+    ids=["dense-600", "dense-4", "grid-16"],
+)
+def test_finite_dimensional_refusals_run_no_eigensolver(make, monkeypatch):
+    # sigma_pi_e is empty in finite dimension: the refusal needs no spectrum
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eigensolver)
+    op = make()
+    builders = [
+        lambda: almost_orthogonal_orbit(op, 4, 0.1),
+        lambda: rokhlin_tower(op, 65, 0.25),
+        lambda: zero_tuple_vector((op,)),
+        lambda: we_membership_witness(op, [0.1], 0.01),
+    ]
+    for build in builders:
+        with pytest.raises(PreconditionError):
+            build()
+
+
+@pytest.mark.parametrize(
+    "model", ["bilateral-shift:2", "bilateral-shift:0.5j", "unilateral-shift:3"]
+)
+def test_orbit_and_tower_need_the_unit_circle(model):
+    # the n-th roots of unity must lie on the essential circle; eps = 2 and
+    # n = 65 pass the tower's height gate, so the circle rule is what refuses
+    op = build_model(model)
+    with pytest.raises(PreconditionError, match="circle of radius 1 is not"):
+        almost_orthogonal_orbit(op, 4, 0.1)
+    with pytest.raises(PreconditionError, match="circle of radius 1 is not"):
+        rokhlin_tower(op, 65, 2.0)
 
 
 @settings(max_examples=12, deadline=None)
