@@ -111,15 +111,6 @@ class AtomicMeasure:
             ],
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        atoms = obj["atoms"]
-        return cls(
-            rho=float(obj["rho"]),
-            positions=np.array([complex(a[0], a[1]) for a in atoms]),
-            weights=np.array([a[2] for a in atoms]),
-        )
-
 
 @dataclass
 class MomentMatchResult:

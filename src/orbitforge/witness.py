@@ -545,6 +545,8 @@ def rokhlin_tower(base, n, eps, u=None, window_budget=None):
     eps = float(eps)
     if not 0.0 < eps <= 2.0:
         raise DegenerateInputError("eps must lie in (0, 2]")
+    # before the height gate, whose minimal_n would be refused again here
+    _require_unit_circle(base)
     nb = base.norm_bound()
     threshold = max(4.0 * nb ** 2 / eps ** 2, 1.0)
     # the strict gate is eps - 2 nb / sqrt(n) > 0; float rounding of the
@@ -558,7 +560,6 @@ def rokhlin_tower(base, n, eps, u=None, window_budget=None):
             f"tower of height {n} needs n > {threshold:g}",
             minimal_n=minimal,
         )
-    _require_unit_circle(base)
     if u is None:
         u = WindowVector.basis(0)
     if abs(u.norm() - 1.0) > 1e-9:

@@ -125,6 +125,11 @@ def test_tower_refusal_exits_two(capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_tower_off_the_unit_circle_exits_two_with_the_circle_refusal(capsys):
+    assert main(["tower", "--model", "bilateral-shift:2", "--n", "65"]) == 2
+    assert "circle of radius 1 is not" in capsys.readouterr().err
+
+
 def test_flatten_vector_and_subspace(tmp_path, capsys):
     # without --d the report is the d = 1 subspace's: one Sidon stage
     out = tmp_path / "flat.json"

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import struct
 from fractions import Fraction
@@ -397,8 +398,7 @@ def test_power_profile_resolution_refusal():
         power_profile_measure(0.99, n=3, tol=1e-14, max_nodes=64)
 
 
-def test_measure_json_round_trip():
-    mu = poisson_atoms(0.2, m=8)
-    clone = AtomicMeasure.from_json(mu.to_json())
-    np.testing.assert_allclose(clone.positions, mu.positions)
-    np.testing.assert_allclose(clone.weights, mu.weights)
+def test_measure_json_atoms_are_re_im_weight():
+    mu = AtomicMeasure(rho=0.5, positions=np.array([0.25 - 1j, 2.0]), weights=np.array([0.75, 0.25]))
+    blob = json.loads(json.dumps(mu.to_json()))
+    assert blob == {"rho": 0.5, "atoms": [[0.25, -1.0, 0.75], [2.0, 0.0, 0.25]]}

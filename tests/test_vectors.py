@@ -25,7 +25,6 @@ from orbitforge.vectors import (
     gram,
     inner,
     normalize,
-    vector_from_json,
     vector_to_json,
     window_budget,
 )
@@ -124,11 +123,10 @@ def test_normalize_zero_refused():
         normalize(WindowVector.zero())
 
 
-def test_json_round_trip_exact():
+def test_vector_json_entries_are_index_re_im():
     v = entries((-1, 0.25 + 0.5j), (7, -3.0))
-    blob = json.dumps(vector_to_json(v, kind="test", params={"n": 1}))
-    w = vector_from_json(json.loads(blob))
-    assert w == v
+    blob = json.loads(json.dumps(vector_to_json(v, kind="test", params={"n": 1})))
+    assert blob == {"kind": "test", "params": {"n": 1}, "entries": [[-1, 0.25, 0.5], [7, -3.0, 0.0]]}
 
 
 def test_storage_is_frozen():
@@ -712,3 +710,89 @@ def test_combine_sparse_placements_slice_a_term_that_fills_a_stretch_of_keys():
     assert kinds == [["slice"], ["slice"], ["slice"], ["slice"], ["index"]]
     assert_bit_identical(two, combine_by_fancy_index([(1, a), (-0.25j, b)]))
     assert_bit_identical(three, combine_by_fancy_index([(1, a), (2.0, b), (-1, odd)]))
+
+
+# -- the translation memo: the norm and the run edges of a value array
+
+
+def fresh(v):
+    """A copy of v that shares neither arrays nor memo with it."""
+    return WindowVector(v.indices.copy(), v.values.copy())
+
+
+@st.composite
+def translate_families(draw):
+    """(c_k, x translated by k) terms of one x made of runs, some longer than
+    a slice threshold of 4, with x's memo filled first or not."""
+    lo = draw(st.sampled_from((0, -17, 10 ** 15)))
+    runs, at = [], lo
+    for _ in range(draw(st.integers(1, 4))):
+        at += draw(st.integers(1, 6))
+        length = draw(st.integers(1, 12))
+        runs.append(np.arange(at, at + length, dtype=np.int64))
+        at += length
+    x = on(draw, np.concatenate(runs))
+    if draw(st.booleans()):
+        x.norm()
+    shifts = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+    return [(draw(coefficient), x.translate(k)) for k in shifts]
+
+
+@given(translate_families(), st.sampled_from((1, 4, vectors._RUN_SLICE_MIN)))
+def test_translate_families_are_bit_identical_to_fresh_copies(terms, threshold):
+    family = [v for _, v in terms]
+    copies = [fresh(v) for v in family]
+    with mock.patch.object(vectors, "_RUN_SLICE_MIN", threshold):
+        assert_bit_identical(combine(terms), combine([(c, fresh(v)) for c, v in terms]))
+        assert gram(family).tobytes() == gram(copies).tobytes()
+        assert cross_gram(family[:2], family).tobytes() == cross_gram(copies[:2], copies).tobytes()
+    assert [bits(v.norm()) for v in family] == [bits(v.norm()) for v in copies]
+
+
+@given(support_pairs(), nonzero)
+def test_new_values_or_indices_start_a_fresh_memo(pair, c):
+    u, v = pair
+    for w in (u, v):
+        w.norm()
+        w._run_edges()
+        keep = w.indices % 2 == 0
+        factors = np.linspace(0.5, 2.0, len(w))
+        made = [w * c, -w, w.scale_by(lambda idx: factors), w.restrict(lambda idx: keep)]
+        for out in made:
+            # v * 1 and the empty vector's products are v itself
+            assert out is w or out._memo is not w._memo
+            assert bits(out.norm()) == bits(fresh(out).norm())
+            assert out._run_edges() == fresh(out)._run_edges()
+
+
+def dense_block_by_fancy_index(vectors_, lo, width):
+    """The scatter before run slices: one fancy index per row."""
+    block = np.zeros((len(vectors_), width), np.complex128)
+    for row, v in zip(block, vectors_):
+        start, stop = np.searchsorted(v.indices, (lo, lo + width))
+        row[v.indices[start:stop] - lo] = v.values[start:stop]
+    return block
+
+
+def test_run_slice_scatter_is_bit_identical_to_the_fancy_index():
+    # blocks of 256 // 4 = 64 columns; runs of 300 straddle block edges, and
+    # a row of one-entry runs keeps the fancy index
+    rng = np.random.default_rng(9)
+    idx = np.concatenate([np.arange(0, 300), np.arange(310, 610)])
+    x = WindowVector(idx, rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size))
+    short = WindowVector(np.arange(0, 620, 2), rng.normal(size=310) - 0.5j)
+    family = [x, x.translate(5), short, x.translate(-3)]
+    with mock.patch.object(vectors, "_RUN_SLICE_MIN", 256):
+        assert x._run_edges() == (0, 300, 600) and short._run_edges() is None
+    step = 64
+    for start in range(-3, 615, step):
+        width = min(step, 615 - start)
+        want = dense_block_by_fancy_index(family, start, width)
+        assert vectors._dense_block(family, start, width).tobytes() == want.tobytes()
+    with mock.patch.object(vectors, "_BLOCK_ENTRIES", 256):
+        got = gram(family)
+        got_cross = cross_gram(family[:3], family[1:])
+        with mock.patch.object(vectors, "_dense_block", dense_block_by_fancy_index):
+            want = gram(family)
+            want_cross = cross_gram(family[:3], family[1:])
+    assert got.tobytes() == want.tobytes() and got_cross.tobytes() == want_cross.tobytes()

@@ -214,6 +214,14 @@ def test_orbit_and_tower_need_the_unit_circle(model):
         rokhlin_tower(op, 65, 2.0)
 
 
+def test_tower_checks_the_circle_before_its_height_gate():
+    # n = 65 fails the gate n > 4 ||T||^2 / eps^2 = 256 too; the circle comes
+    # first, so the refusal names no minimal_n that would be refused again
+    with pytest.raises(PreconditionError, match="circle of radius 1 is not") as exc:
+        rokhlin_tower(build_model("bilateral-shift:2"), 65, 0.25)
+    assert getattr(exc.value, "minimal_n", None) is None
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.integers(0, 14))
 def test_ladder_norm_identity_any_stage(k):
