@@ -1,12 +1,13 @@
 """Windowed vectors over an integer index set.
 
 A :class:`WindowVector` stores a finitely supported vector on the index set
-``Z`` (or a subset of it) as a strictly increasing int64 index array plus a
-complex128 value array.  Shift, diagonal and dense operators act on these
-exactly: a shift translates the index array, nothing is ever truncated to a
-finite box.  Truncating a shift silently turns it into a nilpotent matrix and
-falsifies every spectral statement downstream, which is why the lazy
-representation is load-bearing and not an optimization.
+``Z`` (or a subset of it) as a strictly increasing int64 base index array, an
+integer offset added to every base index, and a complex128 value array.
+Shift, diagonal and dense operators act on these exactly: a shift adds to the
+offset and shares both arrays, nothing is ever truncated to a finite box.
+Truncating a shift silently turns it into a nilpotent matrix and falsifies
+every spectral statement downstream, which is why the lazy representation is
+load-bearing and not an optimization.
 
 Inner products are linear in the FIRST slot: ``inner(u, v) = sum u_i *
 conj(v_i)``.  All stored arrays are frozen (``writeable=False``).
@@ -28,6 +29,8 @@ runs are many and short; every entry gets the same additions in the same
 order whichever way, so the sum's bits do not depend on the placement.  The
 runs and the norm are computed once per vector and shared by its translates,
 so the vectors of a shift orbit scan their runs and sum their squares once.
+The kernel reads the base array and the offset; it never builds a
+translate's full index array, which ``indices`` makes only when it is read.
 """
 
 from __future__ import annotations
@@ -108,10 +111,12 @@ class WindowVector:
     small values are never pruned.
     """
 
-    # _memo holds what translate() keeps exactly: the norm (the value array
-    # is shared) and the run edges (index differences); translate hands it
-    # to its result, every other constructor starts an empty one
-    __slots__ = ("indices", "values", "_memo")
+    # the indices are _base + _offset (a Python int); _indices holds that
+    # array once it is read.  _memo holds what translate() keeps exactly: the
+    # norm (the value array is shared) and the run edges (index differences);
+    # translate hands _base, values and _memo to its result, every other
+    # constructor starts with offset 0 and an empty memo
+    __slots__ = ("_base", "_offset", "_indices", "values", "_memo")
 
     # keep numpy scalars from absorbing us elementwise: a bare complex128
     # times a WindowVector must dispatch to __rmul__, not np.asarray(self)
@@ -132,9 +137,18 @@ class WindowVector:
             if not keep.all():
                 indices = indices[keep]
                 values = values[keep]
-        self.indices = _freeze(indices if indices.flags.owndata else indices.copy())
+        self._base = self._indices = _freeze(indices if indices.flags.owndata else indices.copy())
+        self._offset = 0
         self.values = _freeze(values if values.flags.owndata else values.copy())
         self._memo = {}
+
+    @property
+    def indices(self):
+        """The strictly increasing, read-only int64 index array.  A translate
+        computes it from the shared base array on first read and keeps it."""
+        if self._indices is None:
+            self._indices = _freeze(self._base + self._offset)
+        return self._indices
 
     # -- constructors ---------------------------------------------------
 
@@ -169,17 +183,17 @@ class WindowVector:
     # -- basic queries ---------------------------------------------------
 
     def __len__(self):
-        return len(self.indices)
+        return len(self.values)
 
     @property
     def nnz(self):
-        return len(self.indices)
+        return len(self.values)
 
     def support_range(self):
         """(min_index, max_index) of the support; raises on the zero vector."""
-        if len(self.indices) == 0:
+        if len(self.values) == 0:
             raise DegenerateInputError("zero vector has no support")
-        return int(self.indices[0]), int(self.indices[-1])
+        return int(self._base[0]) + self._offset, int(self._base[-1]) + self._offset
 
     def norm(self):
         """sqrt of numpy's pairwise sum of |v_i|^2, whose order is fixed by the
@@ -196,7 +210,7 @@ class WindowVector:
         entries (a fancy index is cheaper then, and none is stored).
         Computed once per index pattern: translates share the result."""
         if "edges" not in self._memo:
-            idx, n = self.indices, len(self.indices)
+            idx, n = self._base, len(self._base)
             edges = (0, n)
             if n and int(idx[-1]) - int(idx[0]) + 1 != n:
                 breaks = np.flatnonzero(np.diff(idx) != 1) + 1
@@ -246,14 +260,17 @@ class WindowVector:
         return self * (-1.0)
 
     def translate(self, k):
-        """Shift every index by k (exact; the value array and the memo are
-        shared)."""
-        if len(self.indices) == 0 or k == 0:
+        """Shift every index by k (exact, O(1): the base index array, the
+        value array and the memo are shared, and k joins the offset)."""
+        k = int(k)
+        if len(self.values) == 0 or k == 0:
             return self
-        if abs(int(self.indices[0]) + k) >= _INDEX_LIMIT or abs(int(self.indices[-1]) + k) >= _INDEX_LIMIT:
+        lo, hi = self.support_range()
+        if abs(lo + k) >= _INDEX_LIMIT or abs(hi + k) >= _INDEX_LIMIT:
             raise DimensionMismatchError("index translation would overflow the index set")
-        out = WindowVector(self.indices + np.int64(k), self.values, _checked=True)
-        out._memo = self._memo
+        out = WindowVector.__new__(WindowVector)
+        out._base, out._offset, out._indices = self._base, self._offset + k, None
+        out.values, out._memo = self.values, self._memo
         return out
 
     def restrict(self, keep_mask_fn):
@@ -300,9 +317,6 @@ class WindowVector:
             for i, v in zip(self.indices, self.values)
         ]
 
-    @classmethod
-    def from_entries(cls, entries):
-        return cls.from_pairs((int(i), complex(re, im)) for i, re, im in entries)
 
 
 def add_scaled(u, v, alpha, beta):
@@ -335,8 +349,9 @@ def combine(terms):
         nonzero = out.values != 0
         return out if nonzero.all() else out.restrict(lambda idx: nonzero)
     # Python ints: indices reach +-2^62, so the span may not fit in int64
-    lo = min(int(v.indices[0]) for _, v in terms)
-    span = max(int(v.indices[-1]) for _, v in terms) - lo + 1
+    ends = [v.support_range() for _, v in terms]
+    lo = min(first for first, _ in ends)
+    span = max(last for _, last in ends) - lo + 1
     keys = None
     if span > 2 * sum(len(v) for _, v in terms):
         merged = _merged([v.indices for _, v in terms])
@@ -365,19 +380,22 @@ def _placements(v, lo, keys):
     A list of (accumulator slot, slice of the term's entries) pairs; the
     accumulator is the span from ``lo``, or the distinct ``keys`` when given.
     """
-    indices, n = v.indices, len(v.indices)
+    n = len(v)
     if keys is not None:
+        indices = v.indices
         first = int(np.searchsorted(keys, indices[0]))
         # the term's indices are distinct keys, so they fill keys[first:first + n]
         # exactly when its last index sits at the end of that stretch
         if keys[first + n - 1] == indices[-1]:
             return [(slice(first, first + n), slice(None))]
         return [(np.searchsorted(keys, indices), slice(None))]
+    # base index + at is the term's position in the span
+    base, at = v._base, v._offset - lo
     edges = v._run_edges()
     if edges is None:
-        return [(indices - np.int64(lo), slice(None))]
+        return [(base + at, slice(None))]
     return [
-        (slice(int(indices[a]) - lo, int(indices[a]) - lo + b - a), slice(a, b))
+        (slice(int(base[a]) + at, int(base[a]) + at + b - a), slice(a, b))
         for a, b in zip(edges, edges[1:])
     ]
 
@@ -407,19 +425,25 @@ def inner(u, v):
     """<u, v> = sum_i u_i * conj(v_i)  (linear in the first slot).
 
     Disjoint index ranges give 0j at once and equal supports one direct sum.
-    Otherwise each support is cut to the other's index range before the
-    merge of :func:`_shared`.  Terms are summed in increasing index order.
+    Otherwise each base array is cut to the shared index range before the
+    merge of :func:`_shared`, which compares u's cut, shifted by the offset
+    difference, with v's.  Terms are summed in increasing index order.
     """
-    a, b = u.indices, v.indices
-    if len(a) == 0 or len(b) == 0 or a[-1] < b[0] or b[-1] < a[0]:
+    if len(u) == 0 or len(v) == 0:
         return 0j
-    if a is b or (
-        len(a) == len(b) and a[0] == b[0] and a[-1] == b[-1] and np.array_equal(a, b)
+    (a0, a1), (b0, b1) = u.support_range(), v.support_range()
+    if a1 < b0 or b1 < a0:
+        return 0j
+    a, b, shift = u._base, v._base, u._offset - v._offset
+    if (a is b and shift == 0) or (
+        len(a) == len(b) and a0 == b0 and a1 == b1 and np.array_equal(u.indices, v.indices)
     ):
         return complex(np.sum(u.values * np.conj(v.values)))
-    cut_a = slice(np.searchsorted(a, b[0]), np.searchsorted(a, b[-1], "right"))
-    cut_b = slice(np.searchsorted(b, a[0]), np.searchsorted(b, a[-1], "right"))
-    sel_a, sel_b = _shared(a[cut_a], b[cut_b])
+    # the cut ends lie inside both bases' ranges, so they fit in int64
+    lo, hi = max(a0, b0), min(a1, b1)
+    cut_a = slice(np.searchsorted(a, lo - u._offset), np.searchsorted(a, hi - u._offset, "right"))
+    cut_b = slice(np.searchsorted(b, lo - v._offset), np.searchsorted(b, hi - v._offset, "right"))
+    sel_a, sel_b = _shared(a[cut_a] + shift if shift else a[cut_a], b[cut_b])
     return complex(np.sum(u.values[cut_a][sel_a] * np.conj(v.values[cut_b][sel_b])))
 
 
@@ -434,10 +458,12 @@ def _dense_block(vectors, lo, width):
     block, or by one fancy index when its runs are short."""
     block = np.zeros((len(vectors), width), np.complex128)
     for row, v in zip(block, vectors):
-        start, stop = np.searchsorted(v.indices, (lo, lo + width)).tolist()
+        # base index + at is the column
+        base, at = v._base, v._offset - lo
+        start, stop = np.searchsorted(base, (-at, width - at)).tolist()
         edges = v._run_edges()
         if edges is None:
-            row[v.indices[start:stop] - lo] = v.values[start:stop]
+            row[base[start:stop] + at] = v.values[start:stop]
             continue
         # the runs that meet [start, stop), each cut to it
         first = bisect.bisect_right(edges, start) - 1
@@ -445,8 +471,8 @@ def _dense_block(vectors, lo, width):
             if a >= stop:
                 break
             a, b = max(a, start), min(b, stop)
-            at = int(v.indices[a]) - lo
-            row[at:at + b - a] = v.values[a:b]
+            col = int(base[a]) + at
+            row[col:col + b - a] = v.values[a:b]
     return block
 
 
@@ -464,13 +490,13 @@ def cross_gram(us, vs):
     us = list(us)
     vs = us if same else list(vs)
     out = np.zeros((len(us), len(vs)), np.complex128)
-    supports = [v.indices for v in us + vs if len(v)]
-    if not supports:
+    ends = [v.support_range() for v in us + vs if len(v)]
+    if not ends:
         return out
     # Python ints: indices reach +-2^62, so the span may not fit in int64
-    lo = min(int(idx[0]) for idx in supports)
-    span = max(int(idx[-1]) for idx in supports) - lo + 1
-    if span <= 2 * max(map(len, supports)):
+    lo = min(first for first, _ in ends)
+    span = max(last for _, last in ends) - lo + 1
+    if span <= 2 * max(map(len, us + vs)):
         step = max(1, _BLOCK_ENTRIES // max(len(us), len(vs)))
         for start in range(lo, lo + span, step):
             width = min(step, lo + span - start)
