@@ -364,6 +364,27 @@ def _sample_ratio_bound(d):
     return 1.0 + (10 + 32 * d) * 2.0 ** -53
 
 
+def _closed_form_margin(d):
+    """Factor that lifts a computed 2-norm of a d x d closed-form bound matrix
+    to an enclosure of the exact one.
+
+    Each entry fl(1 / fl(sqrt(fl(s_i s_j)))) is within a factor 1 + gamma_3
+    of 1/sqrt(s_i s_j) (the integer product rounds once past 2^53), so the
+    exact matrix is at most the computed one over 1 - gamma_3 entrywise, and
+    the 2-norm of a nonnegative matrix grows with its entries.  The computed
+    norm is within a factor 1 +- 16 d u of the computed matrix's, as in
+    :func:`_sample_ratio_bound`, and the product with the margin rounds once
+    more, so the exact norm is at most fl(computed * m) when
+
+        m (1 - u) (1 - gamma_3) (1 - 16 d u) >= 1,
+
+    which m = 1 + (6 + 16 d) u meets for d below 10^6; it is an even multiple
+    of u, so m is a float.  Zeroed (dead) entries are exact and a power of
+    two scales exactly, so the same m covers the rescaled stage tails.
+    """
+    return 1.0 + (6 + 16 * d) * 2.0 ** -53
+
+
 def verify_flat_subspace(op, basis, eps, rng=None):
     """The flat-subspace statement re-measured from the basis: (lines, measured).
 
@@ -372,7 +393,8 @@ def verify_flat_subspace(op, basis, eps, rng=None):
     <= r are dead, their block zero, from n = times[r] (bottom of b_0 to top
     of b_r) on.  Lines: gram_identity max |Gram - I| <= 1e-10, sup_closed_form
     ||B|| <= eps, stage_tails_rescaled max_r 2^{r+1} ||B, stages <= r dead||
-    <= eps, sampled_within_bounds max ||C_n|| / stage bound <=
+    <= eps (both computed norms times :func:`_closed_form_margin`, so each
+    encloses the exact one), sampled_within_bounds max ||C_n|| / stage bound <=
     :func:`_sample_ratio_bound` over powers n up to the span, and
     vanishes_beyond_span ||C_n|| <= 0 past it.  The powers come from ``rng``,
     so a re-check with the builder's seed samples the builder's powers.
@@ -390,7 +412,8 @@ def verify_flat_subspace(op, basis, eps, rng=None):
     for i in range(d):
         for j in range(i + 1):
             bound_matrix[i, j] = 1.0 / math.sqrt(counts[i] * counts[j])
-    sup_bound = float(np.linalg.norm(bound_matrix, 2))
+    margin = _closed_form_margin(d)
+    sup_bound = float(np.linalg.norm(bound_matrix, 2)) * margin
 
     def stage_bound(dead):
         live = bound_matrix.copy()
@@ -398,7 +421,7 @@ def verify_flat_subspace(op, basis, eps, rng=None):
         return float(np.linalg.norm(live, 2))
 
     stage_bounds = [stage_bound(r + 1) for r in range(d)]
-    tails = max(sb * 2 ** (r + 1) for r, sb in enumerate(stage_bounds))
+    tails = max(sb * 2 ** (r + 1) for r, sb in enumerate(stage_bounds)) * margin
 
     samples = set()
     for i in range(d):

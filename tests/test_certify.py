@@ -144,6 +144,34 @@ def test_flat_sampled_ratio_is_an_enclosure(eps):
     assert line.to_json() in report["checks"]
 
 
+def _closed_form_lines(eps, d):
+    s = BilateralShift()
+    sub, _ = flat_subspace(s, eps, d)
+    lines, _ = verify_flat_subspace(s, sub.basis, eps)
+    found = {c.label: Fraction(c.measured) for c in lines}
+    return [len(v) for v in sub.basis], found["sup_closed_form"], found["stage_tails_rescaled"]
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.9, 1.5])
+def test_flat_closed_form_norm_is_an_enclosure_of_one_stage(eps):
+    # d = 1: B = [[1/s]], and fl(1/s) rounds below 1/s at these eps
+    (count,), sup, tails = _closed_form_lines(eps, 1)
+    assert Fraction(1, count) <= sup <= Fraction(1, count) * (1 + Fraction(1, 10 ** 14))
+    assert tails == 0
+
+
+def test_flat_closed_form_lines_enclose_two_stages():
+    # B = [[1/s0, 0], [1/sqrt(s0 s1), 1/s1]]: ||B||^2 is the larger root of
+    # l^2 - tr l + det^2 with tr = sum of squared entries and det = 1/(s0 s1);
+    # the stage-0-dead tail is 2 ||(1/sqrt(s0 s1), 1/s1)||
+    (s0, s1), sup, tails = _closed_form_lines(0.5, 2)
+    tr = Fraction(1, s0 * s0) + Fraction(1, s0 * s1) + Fraction(1, s1 * s1)
+    det = Fraction(1, s0 * s1)
+    lift = 2 * sup * sup - tr
+    assert lift >= 0 and lift * lift >= tr * tr - 4 * det * det
+    assert tails * tails >= 4 * (Fraction(1, s0 * s1) + Fraction(1, s1 * s1))
+
+
 def _bent_orbit_lines(bend, n=4, eps=0.2):
     s = BilateralShift()
     cert = almost_orthogonal_orbit(s, n, eps)
