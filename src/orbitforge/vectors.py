@@ -318,7 +318,6 @@ class WindowVector:
         ]
 
 
-
 def add_scaled(u, v, alpha, beta):
     """alpha*u + beta*v: the two-term :func:`combine`."""
     return combine(((alpha, u), (beta, v)))
