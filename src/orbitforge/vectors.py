@@ -29,8 +29,9 @@ runs are many and short; every entry gets the same additions in the same
 order whichever way, so the sum's bits do not depend on the placement.  The
 runs and the norm are computed once per vector and shared by its translates,
 so the vectors of a shift orbit scan their runs and sum their squares once.
-The kernel reads the base array and the offset; it never builds a
-translate's full index array, which ``indices`` makes only when it is read.
+``inner``, the Gram scatter and the span accumulator read the base array and
+the offset, so they build no translate's index array; ``indices`` builds it
+on first read, as the merged-support path of ``combine`` does.
 """
 
 from __future__ import annotations

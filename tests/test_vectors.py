@@ -124,7 +124,7 @@ def test_a_shift_orbit_allocates_no_index_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one index array is 4 MB; the parent's translate wrote sixteen of them
+    # one index array is 4 MB; a translate that copied it would write sixteen
     assert peak < x.indices.nbytes
     assert orbit[-1].support_range() == (16, m + 15)
 
