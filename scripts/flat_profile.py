@@ -15,17 +15,13 @@ def main():
     print("eps,d,counts,sup_bound,total_span")
     cases = [(1.0, 2), (0.5, 2), (0.5, 3), (0.25, 3)]
     for eps, d in cases:
-        sub, report = flat_subspace(s, eps, d, rng=0)
-        counts = "|".join(str(c) for c in report["schedule"]["counts"])
-        print(
-            f"{eps},{d},{counts},{report['sup_bound_closed_form']:.6e},"
-            f"{report['total_span']}"
-        )
+        cert = flat_subspace(s, eps, d, rng=0)
+        counts = "|".join(str(c) for c in cert.schedule.counts)
+        print(f"{eps},{d},{counts},{cert.sup_bound_closed_form:.6e},{cert.total_span}")
 
     print()
     print("verification rows for eps=0.5, d=2")
-    sub, report = flat_subspace(s, 0.5, 2, rng=0)
-    print(flat_report_csv(report), end="")
+    print(flat_report_csv(flat_subspace(s, 0.5, 2, rng=0)), end="")
 
 
 if __name__ == "__main__":

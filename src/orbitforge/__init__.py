@@ -65,7 +65,6 @@ from .operators import (
     apply_power,
     compress,
     operator_from_json,
-    power_tuple,
 )
 from .spectra import (
     ApproxEigenpair,

@@ -1,16 +1,17 @@
-"""The one record shape of a verified inequality, shared by every verifier.
+"""The record shapes shared by every verifier: a line and a certificate.
 
-Each statement's verifier sits next to its builder, which runs it once on the
-objects it returns; :mod:`orbitforge.harness` reports the lines of that call.
+Each statement's verifier sits next to its builder and returns a
+:class:`Certificate`; the builder runs it once on the objects it returns and
+returns that record, and :mod:`orbitforge.harness` reports its lines.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from .errors import NumericalError
 
-__all__ = ["UNIT_TOL", "Check", "by_label", "require"]
+__all__ = ["UNIT_TOL", "Certificate", "Check", "by_label", "require"]
 
 # bound on | ||x|| - 1 | for a vector that a statement calls unit
 UNIT_TOL = 1e-12
@@ -41,6 +42,25 @@ class Check:
 
     def to_json(self):
         return asdict(self)
+
+
+@dataclass(kw_only=True)
+class Certificate:
+    """A verified statement: its ``checks`` keyed by label, as :func:`require`
+    returns them, and the ``params`` of the construction that made it.
+    Each statement's record is a subclass that adds the measured objects."""
+
+    checks: dict
+    params: dict = field(default_factory=dict)
+
+    def lines(self):
+        return list(self.checks.values())
+
+    def passed(self):
+        return all(c.passed for c in self.checks.values())
+
+    def worst_slack(self):
+        return min((c.bound - c.measured for c in self.checks.values()), default=0.0)
 
 
 def by_label(checks):

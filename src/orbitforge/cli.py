@@ -53,6 +53,7 @@ def _write(path, text):
 
 
 def _emit_json(obj, path):
+    """The JSON text to ``path``, or to standard output without one."""
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if path:
         _write(path, text)
@@ -70,16 +71,36 @@ def _load_matrix(path):
     return np.array([[entry(e) for e in row] for row in rows])
 
 
+def _load_report(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    return [check_from_json(obj) for obj in (payload if isinstance(payload, list) else [payload])]
+
+
 def _jordan(k, lam):
     return lam * np.eye(k, dtype=complex) + np.diag(np.ones(k - 1), 1)
 
 
-def _number(kind, text):
-    """kind(text); a literal that kind cannot read is refused."""
+def _read(kind, text, error=DegenerateInputError):
+    """kind(text); a literal, model or file that kind cannot read raises
+    ``error``: a refusal (exit 2) unless the caller names another."""
     try:
         return kind(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DegenerateInputError(f"cannot read {text!r}: {exc}") from None
+    except (KeyError, OSError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise error(f"cannot read {text!r}: {exc}") from None
+
+
+def _finish(cert, summary, out, text=None, stdout=False):
+    """The build commands' tail: the summary line with the record's verdict,
+    its report (``text``, else its JSON) to ``out`` (or to standard output
+    when ``stdout``), and the exit code from :meth:`Certificate.passed`."""
+    ok = cert.passed()
+    print(f"{summary}  {'pass' if ok else 'FAIL'}")
+    if text is not None and out:
+        _write(out, text)
+    elif out or stdout:
+        _emit_json(cert.to_json(), out)
+    return EXIT_OK if ok else EXIT_NUMERICAL
 
 
 # -- subcommand bodies ------------------------------------------------------------
@@ -87,13 +108,13 @@ def _number(kind, text):
 
 def _cmd_nrange(args):
     if args.matrix:
-        a = _load_matrix(args.matrix)
+        a = _read(_load_matrix, args.matrix)
     else:
         k = args.random if args.jordan is None else args.jordan
         if k < 1:
             raise DegenerateInputError(f"matrix size {k} is below 1")
         if args.jordan is not None:
-            a = _jordan(k, _number(complex, args.lam))
+            a = _jordan(k, _read(complex, args.lam))
         else:
             rng = np.random.default_rng(args.seed)
             a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
@@ -127,98 +148,57 @@ def _cmd_moments(args):
     if mode == "exact":
         from fractions import Fraction
 
-        eps = [_number(Fraction, e) for e in entries]
-        rho = _number(Fraction, args.rho)
+        eps = [_read(Fraction, e) for e in entries]
+        rho = _read(Fraction, args.rho)
     else:
-        eps = [_number(complex, e) for e in entries]
-        rho = _number(float, args.rho)
+        eps = [_read(complex, e) for e in entries]
+        rho = _read(float, args.rho)
     res = circle_moment_match(eps, rho=rho, mode=mode)
-    blob = res.to_json()
-    ok = all(c.passed for c in res.checks())
-    print(
-        f"{len(res.measure.weights)} atoms  residual {blob['residual_max']:.3e}  "
-        f"mass defect {abs(res.mass_defect):.3e}  mode {mode}  "
-        f"{'pass' if ok else 'FAIL'}"
+    summary = (
+        f"{len(res.measure.weights)} atoms  residual {np.max(np.abs(res.residuals)):.3e}  "
+        f"mass defect {abs(res.mass_defect):.3e}  mode {mode}"
     )
-    _emit_json(blob, args.out)
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    return _finish(res, summary, args.out, stdout=True)
 
 
 def _cmd_orbit(args):
-    op = build_model(args.model)
+    op = _read(build_model, args.model)
     cert = almost_orthogonal_orbit(op, args.n, args.eps, window_budget=args.budget)
-    print(
-        f"orbit n={args.n} eps={args.eps:g}  worst slack {cert.worst_slack():.3e}  "
-        f"{'pass' if cert.passed() else 'FAIL'}"
-    )
-    if args.out:
-        _emit_json(cert.to_json(), args.out)
-    return EXIT_OK if cert.passed() else EXIT_NUMERICAL
+    summary = f"orbit n={args.n} eps={args.eps:g}  worst slack {cert.worst_slack():.3e}"
+    return _finish(cert, summary, args.out)
 
 
 def _cmd_tower(args):
-    op = build_model(args.model)
+    op = _read(build_model, args.model)
     if isinstance(op, MultiplicationGrid):
         tower = rotation_tower(op, args.n, window_budget=args.budget)
     else:
         tower = rokhlin_tower(op, args.n, args.eps, window_budget=args.budget)
-    worst = max(tower.link_residuals) if len(tower.link_residuals) else 0.0
-    print(
-        f"tower n={tower.n}  worst link {worst:.3e}  "
-        f"{'pass' if tower.passed() else 'FAIL'}"
-    )
-    if args.out:
-        _emit_json(tower.to_json(), args.out)
-    return EXIT_OK if tower.passed() else EXIT_NUMERICAL
+    summary = f"tower n={tower.n}  worst link {max(tower.link_residuals):.3e}"
+    return _finish(tower, summary, args.out)
 
 
 def _cmd_compress(args):
     from .nrange import diagonal_compression_subspace
 
-    op = build_model(args.model)
+    op = _read(build_model, args.model)
+    lam = _read(complex, args.lam)
     res = diagonal_compression_subspace(
-        op,
-        _number(complex, args.lam),
-        args.n,
-        dim=args.dim,
-        delta=args.delta,
-        window_budget=args.budget,
+        op, lam, args.n, dim=args.dim, delta=args.delta, window_budget=args.budget
     )
-    blob = {
-        "lam": [res.lam.real, res.lam.imag],
-        "n_powers": res.n_powers,
-        "dim": res.subspace.dim,
-        "power_defects": [float(d) for d in res.power_defects],
-        "gram_defect": res.gram_defect,
-        "delta": res.delta,
-        "passed": res.passed(),
-    }
-    print(
+    summary = (
         f"compression dim={res.subspace.dim} n={res.n_powers}  "
-        f"worst defect {max(blob['power_defects']):.3e}  "
-        f"{'pass' if res.passed() else 'FAIL'}"
+        f"worst defect {max(res.power_defects):.3e}"
     )
-    if args.out:
-        _emit_json(blob, args.out)
-    return EXIT_OK if res.passed() else EXIT_NUMERICAL
+    return _finish(res, summary, args.out)
 
 
 def _cmd_flatten(args):
-    op = build_model(args.model)
-    _, report = flat_subspace(
-        op, args.eps, args.d, window_budget=args.budget, rng=args.seed
-    )
-    print(
-        f"flat subspace d={args.d} eps={args.eps:g}  "
-        f"sup {report['sup_bound_closed_form']:.3e}  "
-        f"{'pass' if report['passed'] else 'FAIL'}"
-    )
-    if args.out:
-        if args.format == "csv":
-            _write(args.out, flat_report_csv(report))
-        else:
-            _emit_json(report, args.out)
-    return EXIT_OK if report["passed"] else EXIT_NUMERICAL
+    op = _read(build_model, args.model)
+    cert = flat_subspace(op, args.eps, args.d, window_budget=args.budget, rng=args.seed)
+    summary = f"flat subspace d={args.d} eps={args.eps:g}  sup {cert.sup_bound_closed_form:.3e}"
+    text = flat_report_csv(cert) if args.format == "csv" else None
+    return _finish(cert, summary, args.out, text)
 
 
 def _cmd_verify(args):
@@ -257,12 +237,8 @@ def _cmd_verify(args):
 
 
 def _cmd_replay(args):
-    with open(getattr(args, "from"), "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    items = payload if isinstance(payload, list) else [payload]
     all_ok = True
-    for obj in items:
-        recorded = check_from_json(obj)
+    for recorded in _read(_load_report, getattr(args, "from"), ConfigError):
         fresh = run_check(recorded.check_id, recorded.params, seed=recorded.seed)
         identical = fresh.results == recorded.results
         all_ok = all_ok and identical

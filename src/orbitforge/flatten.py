@@ -41,12 +41,11 @@ from .errors import (
     PreconditionError,
     UnsupportedModelError,
 )
-from .certify import Check, require
+from .certify import Certificate, Check, by_label, require
 from .operators import (
     BilateralShift,
     DiagonalUnitary,
     MultiplicationGrid,
-    Subspace,
     UnilateralShift,
     apply_power,
 )
@@ -286,11 +285,12 @@ def flat_subspace(op, eps, d, window_budget=None, rng=None):
 
     Stage r gets s_r atoms at the threshold eps / (2^{r+3} (r+1)), all drawn
     from one Sidon pool, chunks stacked upward with gaps covering the
-    accumulated time horizon.  The report certifies the supremum in closed
-    form (lower-triangular entries bounded by 1/sqrt(s_i s_j), one aligned
-    pair each) and rechecks sampled powers honestly from the raw vectors.
-    The check lines are exactly those of :func:`verify_flat_subspace`: the
-    statement bounds ||P T^n P|| and reads no numerical radius.
+    accumulated time horizon.  The returned record is the one of
+    :func:`verify_flat_subspace` on the basis, with the schedule: it certifies
+    the supremum in closed form (lower-triangular entries bounded by
+    1/sqrt(s_i s_j), one aligned pair each) and rechecks sampled powers
+    honestly from the raw vectors.  The statement bounds ||P T^n P|| and
+    reads no numerical radius.
     """
     eps = float(eps)
     if not 0 < eps < math.inf:  # NaN fails both comparisons
@@ -324,17 +324,42 @@ def flat_subspace(op, eps, d, window_budget=None, rng=None):
     )
     schedule.validate()
 
-    checks, measured = verify_flat_subspace(op, vectors, eps, rng)
-    require(checks, "flat subspace")
-    report = dict(
-        measured,
-        schedule=schedule.to_json(),
-        stage_bounds_target=[float(Fraction(eps) / 2 ** (r + 1)) for r in range(d)],
-        eps=eps,
-        checks=[c.to_json() for c in checks],
-        passed=True,
-    )
-    return Subspace(tuple(vectors)), report
+    cert = verify_flat_subspace(op, vectors, eps, rng)
+    cert.schedule = schedule
+    require(cert.lines(), "flat subspace")
+    return cert
+
+
+@dataclass(kw_only=True)
+class FlatCertificate(Certificate):
+    """The flat-subspace record: the basis, the measured numbers of
+    :func:`verify_flat_subspace` with one ``per_n`` row per sampled power,
+    and the builder's schedule."""
+
+    basis: tuple
+    eps: float
+    gram_defect: float
+    sup_bound_closed_form: float
+    stage_bounds: list
+    total_span: int
+    per_n: list
+    schedule: FlatSchedule | None = None
+
+    def to_json(self):
+        return {
+            "gram_defect": self.gram_defect,
+            "sup_bound_closed_form": self.sup_bound_closed_form,
+            "stage_bounds": self.stage_bounds,
+            "total_span": self.total_span,
+            "per_n": self.per_n,
+            "schedule": self.schedule and self.schedule.to_json(),
+            "stage_bounds_target": [
+                float(Fraction(self.eps) / 2 ** (r + 1)) for r in range(len(self.basis))
+            ],
+            "eps": self.eps,
+            "checks": [c.to_json() for c in self.lines()],
+            "passed": self.passed(),
+        }
 
 
 def _sample_ratio_bound(d):
@@ -386,7 +411,7 @@ def _closed_form_margin(d):
 
 
 def verify_flat_subspace(op, basis, eps, rng=None):
-    """The flat-subspace statement re-measured from the basis: (lines, measured).
+    """The flat-subspace statement re-measured from the basis, as a record.
 
     B[i, j] = 1/sqrt(s_i s_j), j <= i, bounds |<T^n b_j, b_i>| at every n >= 1
     (s_i atoms in b_i, one aligned pair of the Sidon pool per entry); stages
@@ -398,7 +423,6 @@ def verify_flat_subspace(op, basis, eps, rng=None):
     :func:`_sample_ratio_bound` over powers n up to the span, and
     vanishes_beyond_span ||C_n|| <= 0 past it.  The powers come from ``rng``,
     so a re-check with the builder's seed samples the builder's powers.
-    ``measured`` holds the report numbers and one per_n row per sampled power.
     """
     rng = np.random.default_rng(0 if rng is None else rng)
     d = len(basis)
@@ -452,26 +476,28 @@ def verify_flat_subspace(op, basis, eps, rng=None):
                 "beyond_horizon": n > total_span,
             }
         )
-    lines = [
+    lines = (
         Check.at_most("gram_identity", gram_defect, 1e-10),
         Check.at_most("sup_closed_form", sup_bound, eps),
         Check.at_most("stage_tails_rescaled", tails, eps),
         Check.at_most("sampled_within_bounds", worst_ratio, _sample_ratio_bound(d)),
         Check.at_most("vanishes_beyond_span", beyond, 0.0),
-    ]
-    measured = {
-        "gram_defect": gram_defect,
-        "sup_bound_closed_form": sup_bound,
-        "stage_bounds": stage_bounds,
-        "total_span": total_span,
-        "per_n": per_n,
-    }
-    return lines, measured
+    )
+    return FlatCertificate(
+        checks=by_label(lines),
+        basis=tuple(basis),
+        eps=eps,
+        gram_defect=gram_defect,
+        sup_bound_closed_form=sup_bound,
+        stage_bounds=stage_bounds,
+        total_span=total_span,
+        per_n=per_n,
+    )
 
 
-def flat_report_csv(report):
-    """CSV rows (n, norm, stage_bound) from a subspace report."""
+def flat_report_csv(cert):
+    """CSV rows (n, norm, stage_bound) from a flat-subspace record."""
     lines = ["n,norm,stage_bound"]
-    for row in report["per_n"]:
+    for row in cert.per_n:
         lines.append(f"{row['n']},{row['norm']:.12g},{row['stage_bound']:.12g}")
     return "\n".join(lines) + "\n"

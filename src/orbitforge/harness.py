@@ -1,15 +1,15 @@
-"""Named verification suites that report each construction's verifier lines.
+"""Named verification suites that report each construction's certificate.
 
 Every suite normalizes its parameters, drives one public construction, and
-reports the lines of the statement's ``verify_<statement>`` applied to
-exactly the returned objects.  Six constructions (orbit, tower, flat
-subspace, zeroing, compression, moment match) make that one verifier call
-themselves and carry its lines in their record; the suite reports those
-lines, since a deterministic verifier on the same frozen objects can only
-repeat them.  The reverse eigenvector and the unitary orbit, which no
-construction claims, are verified here on the returned vectors.  A suite
-result is a flat list of :class:`~orbitforge.certify.Check` lines plus the
-parameters and seed needed to reproduce it bit for bit.
+returns them with the :class:`~orbitforge.certify.Certificate` of the
+statement's ``verify_<statement>`` applied to exactly the returned objects.
+Six constructions (orbit, tower, flat subspace, zeroing, compression, moment
+match) make that one verifier call themselves and return its record; a
+deterministic verifier on the same frozen objects could only repeat it.  The
+reverse eigenvector and the unitary orbit, which no construction claims, are
+verified here on the returned vectors.  A suite result is the record's
+:class:`~orbitforge.certify.Check` lines plus the parameters and seed needed
+to reproduce it bit for bit.
 
 Reports serialize deterministically: JSON with sorted keys round-trips to an
 equal check object, CSV has one row per inequality, markdown embeds the
@@ -116,7 +116,8 @@ def build_model(spec):
 
     Shorthands: ``bilateral-shift``, ``unilateral-shift`` (append ``:w`` for
     a constant weight), ``diagonal-qi:d`` for the rotation by sqrt(d) turns,
-    ``grid:n`` for the n-node multiplication grid.
+    ``grid:n`` for the n-node multiplication grid.  An argument that is not
+    a number raises ValueError.
     """
     if hasattr(spec, "apply"):
         return spec
@@ -129,7 +130,7 @@ def build_model(spec):
     if name == "unilateral-shift":
         return UnilateralShift(ConstantWeights(complex(arg)) if arg else None)
     if name == "diagonal-qi":
-        return DiagonalUnitary(QuadraticIrrationalRotation(int(arg) if arg else 2))
+        return DiagonalUnitary(QuadraticIrrationalRotation(d=int(arg) if arg else 2))
     if name == "grid":
         if not arg:
             raise DegenerateInputError("grid shorthand needs a node count, grid:n")
@@ -213,14 +214,13 @@ def _model(params, default):
     return op, budget, {"model": op.to_json(), "window_budget": budget}
 
 
-# -- the eight suites: normalize the parameters, build, report the verifier lines ----
+# -- the eight suites: normalize the parameters, build, return (params, record) ----
 
 
 def _check_orbit_certificate(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
     n, eps = _param(params, "n", 8, _int_param), _param(params, "eps", 0.1, float)
-    cert = almost_orthogonal_orbit(op, n, eps, window_budget=budget)
-    return dict(norm, n=n, eps=eps), list(cert.checks.values())
+    return dict(norm, n=n, eps=eps), almost_orthogonal_orbit(op, n, eps, window_budget=budget)
 
 
 def _check_orbit_reverse_eigenvector(params, seed):
@@ -231,8 +231,7 @@ def _check_orbit_reverse_eigenvector(params, seed):
     lam, lam_json = _param(params, "lam", 1.0, _complex_param)
     cert = almost_orthogonal_orbit(op, n, eps, window_budget=budget)
     pair = orbit_to_approx_eigenvector(op, cert.x, lam, n)
-    lines = verify_eigenpair(op, pair.vector, lam, n)
-    return dict(norm, n=n, eps=eps, lam=lam_json), lines
+    return dict(norm, n=n, eps=eps, lam=lam_json), verify_eigenpair(op, pair.vector, lam, n)
 
 
 def _check_unitary_orthogonal_orbit(params, seed):
@@ -245,15 +244,13 @@ def _check_unitary_orthogonal_orbit(params, seed):
 def _check_rokhlin_tower(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
     n, eps = _param(params, "n", 65, _int_param), _param(params, "eps", 0.25, float)
-    tower = rokhlin_tower(op, n, eps, window_budget=budget)
-    return dict(norm, n=n, eps=eps), list(tower.checks.values())
+    return dict(norm, n=n, eps=eps), rokhlin_tower(op, n, eps, window_budget=budget)
 
 
 def _check_flat_subspace(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
     eps, d = _param(params, "eps", 0.25, float), _param(params, "d", 3, _int_param)
-    _sub, report = flat_subspace(op, eps, d, window_budget=budget, rng=seed)
-    return dict(norm, eps=eps, d=d), [Check(**c) for c in report["checks"]]
+    return dict(norm, eps=eps, d=d), flat_subspace(op, eps, d, window_budget=budget, rng=seed)
 
 
 def _check_tuple_zeroing(params, seed):
@@ -262,7 +259,7 @@ def _check_tuple_zeroing(params, seed):
     tol = _param(params, "tol", 1e-8, float)
     ops = tuple(OperatorPower(op, p) for p in powers)
     cert = zero_tuple_vector(ops, tol=tol, window_budget=budget)
-    return dict(norm, powers=powers, tol=tol), list(cert.checks.values())
+    return dict(norm, powers=powers, tol=tol), cert
 
 
 def _check_diagonal_compression(params, seed):
@@ -270,11 +267,8 @@ def _check_diagonal_compression(params, seed):
     lam, lam_json = _param(params, "lam", [0.4, 0.1], _complex_param)
     n, dim = _param(params, "n", 3, _int_param), _param(params, "dim", 2, _int_param)
     delta = _param(params, "delta", 0.05, float)
-    res = diagonal_compression_subspace(
-        op, lam, n, dim=dim, delta=delta, window_budget=budget
-    )
-    lines = list(res.checks.values())
-    return dict(norm, lam=lam_json, n=n, dim=dim, delta=delta), lines
+    res = diagonal_compression_subspace(op, lam, n, dim=dim, delta=delta, window_budget=budget)
+    return dict(norm, lam=lam_json, n=n, dim=dim, delta=delta), res
 
 
 def _check_moment_exact(params, seed):
@@ -295,10 +289,10 @@ def _check_moment_exact(params, seed):
     rho = _param(params, "rho", 1, real)
     targets = ["0", "1/100", "0", "1/200", "0", "1/500"]
     eps = _param(params, "eps", targets, lambda ts: [number(t) for t in ts])
-    lines = circle_moment_match(eps, rho=rho, mode=mode).checks()
+    res = circle_moment_match(eps, rho=rho, mode=mode)
     if exact:
-        return {"mode": mode, "rho": str(rho), "eps": [str(t) for t in eps]}, lines
-    return {"mode": mode, "rho": rho, "eps": [[z.real, z.imag] for z in eps]}, lines
+        return {"mode": mode, "rho": str(rho), "eps": [str(t) for t in eps]}, res
+    return {"mode": mode, "rho": rho, "eps": [[z.real, z.imag] for z in eps]}, res
 
 
 _SUITES = {
@@ -329,7 +323,7 @@ def run_check(check_id, params=None, seed=0):
         params["model"] = params["model"].to_json()
     seed = int(seed)
     try:
-        norm_params, lines = _SUITES[check_id](params, seed)
+        norm_params, record = _SUITES[check_id](params, seed)
     except NumericalError as exc:
         residual = exc.residual
         measured = float(residual) if residual is not None and math.isfinite(residual) else 1.0
@@ -342,7 +336,7 @@ def run_check(check_id, params=None, seed=0):
             diagnostics=str(exc),
         )
     return VerificationCheck(
-        check_id=check_id, params=norm_params, results=lines, seed=seed
+        check_id=check_id, params=norm_params, results=record.lines(), seed=seed
     )
 
 

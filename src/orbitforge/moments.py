@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .certify import Check, require
+from .certify import Certificate, Check, by_label, require
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -112,29 +112,15 @@ class AtomicMeasure:
         }
 
 
-@dataclass
-class MomentMatchResult:
+@dataclass(kw_only=True)
+class MomentMatchResult(Certificate):
     measure: AtomicMeasure
     targets: np.ndarray
     residuals: np.ndarray
     mass_defect: float
     mode: str
-    stages: list = field(default_factory=list)
-    exact_certificate: dict | None = None
-
-    def checks(self):
-        """moment_error max_k |m_k - e_k|, mass | mass - 1 |, and in exact mode
-        symbolic_zero_defects (0 when the ring left literal zeros)."""
-        bound = MOMENT_BOUNDS[self.mode]
-        lines = [
-            Check.at_most("moment_error", np.max(np.abs(self.residuals)), bound),
-            Check.at_most("mass", abs(self.mass_defect), MASS_BOUND),
-        ]
-        if self.mode == "exact":
-            cert = self.exact_certificate or {}
-            zero = cert.get("moment_defects_zero") and cert.get("mass_defect_zero")
-            lines.append(Check.at_most("symbolic_zero_defects", 0.0 if zero else 1.0, 0.0))
-        return lines
+    stages: list
+    exact_certificate: dict | None
 
     def to_json(self):
         out = {
@@ -203,7 +189,7 @@ def _match_float(eps, rho):
         positions.extend(_gadget_positions(rho, n + 1, 1.0))
         weights.extend([pad / (n + 1)] * (n + 1))
     measure = AtomicMeasure(rho, np.array(positions), np.array(weights))
-    return _measured(measure, eps, "float", stages)
+    return verify_moment_match(measure, eps, "float", stages)
 
 
 def _match_exact(eps, rho):
@@ -279,27 +265,40 @@ def _match_exact(eps, rho):
         "stages": list(stages),
     }
     targets_c = [e.to_complex() for e in eps_qi]
-    return _measured(measure, targets_c, "exact", stages, certificate)
+    return verify_moment_match(measure, targets_c, "exact", stages, certificate)
 
 
-def _measured(measure, targets, mode, stages=(), exact_certificate=None):
-    """Result record with the residuals and mass defect measured from the atoms."""
+def verify_moment_match(measure, targets, mode, stages, exact_certificate=None):
+    """Record with the residuals and mass defect measured from the atoms.
+
+    Lines, for a mode with a bound in MOMENT_BOUNDS: moment_error
+    max_k |m_k - e_k|, mass | mass - 1 | and, in exact mode,
+    symbolic_zero_defects (0 when the ring left literal zeros), which reads
+    ``exact_certificate``, the ring's zero tests that atoms cannot redo.
+    """
     targets = np.asarray(targets, np.complex128)
+    residuals = measure.moments(len(targets)) - targets
+    mass_defect = measure.mass() - 1.0
+    lines = []
+    if mode in MOMENT_BOUNDS:  # power_profile_measure's "poisson" mode has none
+        lines = [
+            Check.at_most("moment_error", np.max(np.abs(residuals)), MOMENT_BOUNDS[mode]),
+            Check.at_most("mass", abs(mass_defect), MASS_BOUND),
+        ]
+        if mode == "exact":
+            cert = exact_certificate or {}
+            zero = cert.get("moment_defects_zero") and cert.get("mass_defect_zero")
+            lines.append(Check.at_most("symbolic_zero_defects", 0.0 if zero else 1.0, 0.0))
     return MomentMatchResult(
         measure=measure,
         targets=targets,
-        residuals=measure.moments(len(targets)) - targets,
-        mass_defect=measure.mass() - 1.0,
+        residuals=residuals,
+        mass_defect=mass_defect,
         mode=mode,
         stages=list(stages),
         exact_certificate=exact_certificate,
+        checks=by_label(lines),
     )
-
-
-def verify_moment_match(measure, targets, mode, exact_certificate=None):
-    """The moment lines re-measured from the atoms; the symbolic line reads
-    ``exact_certificate``, the ring's zero tests, which atoms cannot redo."""
-    return _measured(measure, targets, mode, (), exact_certificate).checks()
 
 
 def circle_moment_match(eps, rho=1.0, mode="float"):
@@ -309,7 +308,7 @@ def circle_moment_match(eps, rho=1.0, mode="float"):
     radius.  mode="exact" requires targets and rho representable as Gaussian
     rationals (ints, Fractions, floats, or QI) and returns a result whose
     exact_certificate records the syntactic zero checks.  A result that misses
-    a line of :meth:`MomentMatchResult.checks` raises NumericalError.
+    a line of :func:`verify_moment_match` raises NumericalError.
     """
     eps = list(eps)
     if not eps:
@@ -320,7 +319,7 @@ def circle_moment_match(eps, rho=1.0, mode="float"):
         res = _match_exact(eps, rho)
     else:
         raise DegenerateInputError(f"unknown mode {mode!r}")
-    require(res.checks(), "moment match")
+    require(res.lines(), "moment match")
     return res
 
 
@@ -364,7 +363,7 @@ def power_profile_measure(lam, n, rho=1.0, tol=1e-12, max_nodes=1 << 22):
     targets = np.array([lam ** k for k in range(1, n + 1)])
     m = max(32, 4 * (n + 1))
     while True:
-        res = _measured(poisson_atoms(lam, rho, m), targets, "poisson", [m])
+        res = verify_moment_match(poisson_atoms(lam, rho, m), targets, "poisson", [m])
         if np.max(np.abs(res.residuals)) <= tol:
             return res
         if m >= max_nodes:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import Check, by_label, require
+from .certify import Certificate, Check, by_label, require
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -125,9 +125,6 @@ class BoundaryResult:
     thetas: np.ndarray
     support: np.ndarray
     points: np.ndarray
-
-    def boundary_radius(self):
-        return float(np.max(np.abs(self.points)))
 
     def rows(self):
         return [
@@ -298,9 +295,6 @@ class WitnessResult:
     realization: str
     params: dict = field(default_factory=dict)
 
-    def max_defect(self):
-        return float(np.max(self.defects)) if len(self.defects) else 0.0
-
 
 def _same_generator(a, b):
     if a is b:
@@ -466,18 +460,25 @@ def we_membership_witness(ops, mu, delta, constraints=None, meter=None):
 # lambda-power compressions
 
 
-@dataclass
-class CompressionResult:
+@dataclass(kw_only=True)
+class CompressionResult(Certificate):
     subspace: Subspace
     lam: complex
     n_powers: int
     power_defects: np.ndarray
     gram_defect: float
     delta: float
-    checks: dict
 
-    def passed(self):
-        return all(c.passed for c in self.checks.values())
+    def to_json(self):
+        return {
+            "lam": [self.lam.real, self.lam.imag],
+            "n_powers": self.n_powers,
+            "dim": self.subspace.dim,
+            "power_defects": [float(d) for d in self.power_defects],
+            "gram_defect": self.gram_defect,
+            "delta": self.delta,
+            "passed": self.passed(),
+        }
 
 
 def verify_compression(op, subspace, lam, n, delta):
@@ -537,5 +538,5 @@ def diagonal_compression_subspace(op, lam, n, dim=2, delta=1e-3, window_budget=N
         res = we_membership_witness(op, mu, delta, constraints=vectors, meter=meter)
         vectors.append(res.vector)
     res = verify_compression(op, Subspace(vectors), lam, n, delta)
-    require(res.checks.values(), "compression subspace")
+    require(res.lines(), "compression subspace")
     return res

@@ -428,14 +428,6 @@ class OperatorPower:
         }
 
 
-def power_tuple(op, n):
-    """(T, T^2, ..., T^n)."""
-    n = int(n)
-    if n < 1:
-        raise DegenerateInputError("need at least one power")
-    return tuple(OperatorPower(op, j) for j in range(1, n + 1))
-
-
 def as_power(op):
     """(base, exponent) view of an operator, unwrapping power wrappers."""
     if isinstance(op, OperatorPower):

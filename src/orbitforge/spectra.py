@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import UNIT_TOL, Check
+from .certify import UNIT_TOL, Certificate, Check, by_label
 from .errors import (
     DegenerateInputError,
     DomainError,
@@ -258,12 +258,14 @@ def orbit_to_approx_eigenvector(op, x, lam, n):
 
 
 def verify_eigenpair(op, y, lam, n):
-    """unit_norm | ||y|| - 1 | <= UNIT_TOL and eigen_residual ||(T - lam) y|| < 3/n.
+    """Record with unit_norm | ||y|| - 1 | <= UNIT_TOL and eigen_residual
+    ||(T - lam) y|| < 3/n.
 
     Not a self-check of the fold: 3/n holds only for the fold of an almost
     orthogonal orbit of length n, so only a check that built one applies it.
     """
-    return [
+    lines = (
         Check.at_most("unit_norm", abs(y.norm() - 1.0), UNIT_TOL),
         Check.below("eigen_residual", (op.apply(y) - lam * y).norm(), 3.0 / n),
-    ]
+    )
+    return Certificate(checks=by_label(lines))

@@ -186,10 +186,6 @@ class WindowVector:
     def __len__(self):
         return len(self.values)
 
-    @property
-    def nnz(self):
-        return len(self.values)
-
     def support_range(self):
         """(min_index, max_index) of the support; raises on the zero vector."""
         if len(self.values) == 0:
@@ -525,5 +521,5 @@ def normalize(v):
     return v * (1.0 / n)
 
 
-def vector_to_json(v, kind="raw", params=None):
-    return {"kind": kind, "params": dict(params or {}), "entries": v.to_entries()}
+def vector_to_json(v, kind="raw"):
+    return {"kind": kind, "params": {}, "entries": v.to_entries()}

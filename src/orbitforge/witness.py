@@ -26,7 +26,7 @@ are passed as the finite family spanning the forbidden complement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedModelError,
     WindowBudgetError,
 )
-from .certify import UNIT_TOL, Check, by_label, require
+from .certify import UNIT_TOL, Certificate, Check, by_label, require
 from .moments import admissible_radius
 from .nrange import _resolve_power_tuple, we_membership_witness
 from .operators import TWO_PI, DiagonalUnitary, MultiplicationGrid, power_forms
@@ -62,13 +62,12 @@ def _complex_list(arr):
     return [[float(z.real), float(z.imag)] for z in np.asarray(arr).ravel()]
 
 
-@dataclass
-class OrbitCertificate:
+@dataclass(kw_only=True)
+class OrbitCertificate(Certificate):
     """Recomputed orbit data for a unit vector under one generator.
 
     gram[a, b] = <T^a x, T^b x> for a, b < n; norms holds ||T^j x|| for
-    j = 0..n; recurrence is ||T^n x - x||.  checks maps labels to the
-    :class:`~orbitforge.certify.Check` lines, all recomputed from x.
+    j = 0..n; recurrence is ||T^n x - x||.  Every line is recomputed from x.
     """
 
     x: WindowVector
@@ -77,17 +76,6 @@ class OrbitCertificate:
     gram: np.ndarray
     norms: np.ndarray
     recurrence: float
-    checks: dict
-    params: dict = field(default_factory=dict)
-
-    def passed(self):
-        return all(c.passed for c in self.checks.values())
-
-    def worst_slack(self):
-        return min(
-            (c.bound - c.measured for c in self.checks.values()),
-            default=0.0,
-        )
 
     def to_json(self):
         return {
@@ -102,8 +90,8 @@ class OrbitCertificate:
         }
 
 
-@dataclass
-class Tower:
+@dataclass(kw_only=True)
+class Tower(Certificate):
     """Tower of unit vectors with measured link residuals.
 
     ``u`` is the prescribed mean when one exists (eigen-window towers);
@@ -119,15 +107,10 @@ class Tower:
     gram_defect: float
     mean_defect: float | None
     sum_defect: float | None
-    checks: dict
-    params: dict = field(default_factory=dict)
 
     @property
     def n(self):
         return len(self.w)
-
-    def passed(self):
-        return all(c.passed for c in self.checks.values())
 
     def to_json(self):
         return {
@@ -191,15 +174,16 @@ def verify_orbit(base, x, n, eps):
 
 
 def verify_unitary_orbit(base, x, n, eps):
-    """orthogonality max_{a < b} |<T^a x, T^b x>| <= 1e-8, unit_norms
+    """Record with orthogonality max_{a < b} |<T^a x, T^b x>| <= 1e-8, unit_norms
     max_{j < n} | ||T^j x|| - 1 | <= UNIT_TOL, recurrence ||T^n x - x|| < eps."""
     gram_, norms, recurrence = _orbit_data(base, x, n)
     pairwise = np.max(np.triu(np.abs(gram_), 1), initial=0.0)
-    return [
+    lines = (
         Check.at_most("orthogonality", pairwise, HARD_TOL),
         Check.at_most("unit_norms", np.max(np.abs(norms[:n] - 1.0)), UNIT_TOL),
         Check.below("recurrence", recurrence, eps),
-    ]
+    )
+    return Certificate(checks=by_label(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +277,11 @@ def zero_tuple_vector(
     forms already meet tol is returned as-is.  A non-unit start must sit on
     the stage ladder: ||start||^2 = 1 - 2^{-start_stage}.  ``avoid`` lists
     vectors spanning the forbidden complement; w and its power images stay
-    orthogonal to them.  The certificate's checks are exactly the lines of
-    :func:`verify_zeroing`: unit norm, the final forms, and the distance
-    ||w - start|| against the tail bound 3 * 2^{-start_stage/2 - 1}.  The
-    stage norms must also follow the closed form within 1e-10; a miss
-    raises NumericalError but is not a reported line.
+    orthogonal to them.  The returned record is :func:`verify_zeroing`'s:
+    unit norm, the final forms, and the distance ||w - start|| against the
+    tail bound 3 * 2^{-start_stage/2 - 1}.  The stage norms must also follow
+    the closed form within 1e-10; a miss raises NumericalError but is not a
+    reported line.
 
     Before stage k the loop compares the stage cap radius 2^{-k-1} with the
     float64 floor of :func:`_form_floor`.  Once the cap is at or below the
@@ -372,45 +356,34 @@ def zero_tuple_vector(
             k += 1
         w = normalize(x)
 
-    n_max = max(powers)
-    gram_, norms, recurrence = _orbit_data(base, w, n_max)
     stage_dev = max(
         (abs(s["norm_sq"] - s["expected_norm_sq"]) for s in stages), default=0.0
     )
-    checks = require(
-        verify_zeroing(base, powers, w, x_start, start_stage, tol), "zeroing certificate"
-    )
+    cert = verify_zeroing(base, powers, w, x_start, start_stage, tol)
+    cert.params = {"stages": stages, "early_exit": early_exit, "entries_charged": meter.used}
+    require(cert.lines(), "zeroing certificate")
     require([Check.at_most("stage_norms", stage_dev, 1e-10)], "zeroing certificate")
-    return OrbitCertificate(
-        x=w,
-        n=n_max,
-        eps=tol,
-        gram=gram_,
-        norms=norms,
-        recurrence=recurrence,
-        checks=checks,
-        params={
-            "powers": list(powers),
-            "admissible_radius": radius,
-            "start_stage": start_stage,
-            "stages": stages,
-            "early_exit": early_exit,
-            "final_forms": _complex_list(power_forms(base, powers, w)),
-            "entries_charged": meter.used,
-        },
-    )
+    return cert
+
+
+@dataclass(kw_only=True)
+class ZeroingCertificate(Certificate):
+    """The unit vector x whose power forms the zeroing drove below tol."""
+
+    x: WindowVector
 
 
 def verify_zeroing(base, powers, x, start, start_stage, tol):
-    """unit_norm | ||x|| - 1 | <= UNIT_TOL, forms max_p |<T^p x, x>| <= tol,
-    distance ||x - start|| <= 3 * 2^{-k/2 - 1} with k the start stage."""
-    return [
+    """Record with unit_norm | ||x|| - 1 | <= UNIT_TOL, forms max_p |<T^p x, x>|
+    <= tol, distance ||x - start|| <= 3 * 2^{-k/2 - 1} with k the start stage."""
+    lines = (
         Check.at_most("unit_norm", abs(x.norm() - 1.0), UNIT_TOL),
         Check.at_most("forms", np.max(np.abs(power_forms(base, powers, x))), tol),
         Check.at_most(
             "distance", (x - start).norm(), 3.0 * 2.0 ** (-start_stage / 2.0 - 1.0)
         ),
-    ]
+    )
+    return ZeroingCertificate(x=x, checks=by_label(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +468,7 @@ def almost_orthogonal_orbit(base, n, eps, window_budget=None):
         "epsilon_prime": eps_prime,
         "entries_charged": meter.used,
     }
-    require(cert.checks.values(), "orbit certificate")
+    require(cert.lines(), "orbit certificate")
     return cert
 
 
@@ -618,7 +591,7 @@ def rokhlin_tower(base, n, eps, u=None, window_budget=None):
         "mean_link_defect": tu_defect,
         "entries_charged": meter.used,
     }
-    require(tower.checks.values(), "tower certificate")
+    require(tower.lines(), "tower certificate")
     return tower
 
 

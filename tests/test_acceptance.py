@@ -145,7 +145,8 @@ def test_criterion_5_rotation_towers_on_the_grid():
 def test_criterion_6_flat_subspace_certificate():
     t0 = time.time()
     eps = 0.25
-    sub, report = flat_subspace(BilateralShift(), eps, 3)
+    cert = flat_subspace(BilateralShift(), eps, 3)
+    report = cert.to_json()
     assert report["sup_bound_closed_form"] <= eps
     for r, sb in enumerate(report["stage_bounds"]):
         assert sb <= eps * 2.0 ** (-r)
@@ -156,8 +157,8 @@ def test_criterion_6_flat_subspace_certificate():
         assert Fraction(s_r) * thr * thr > 16
     s = BilateralShift()
     beyond = report["total_span"] + 1
-    for a in sub.basis:
-        for b in sub.basis:
+    for a in cert.basis:
+        for b in cert.basis:
             assert inner(apply_power(s, a, beyond), b) == 0.0
     _report(6, "flat subspace d=3: sup <= 0.25, exact zero beyond the span", t0, 120)
 

@@ -1,19 +1,23 @@
-"""One Check record and one verifier per statement, run once by the builder."""
+"""One Check line, one Certificate record, and one verifier per statement,
+run once by the builder, whose record the harness reports."""
 
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from orbitforge.certify import Check, require
+from orbitforge import harness
+from orbitforge.certify import Certificate, Check, require
 from orbitforge.errors import NumericalError
 from orbitforge.flatten import flat_subspace, verify_flat_subspace
-from orbitforge.harness import check_from_json, emit_report, run_check
+from orbitforge.harness import CHECK_IDS, check_from_json, emit_report, run_check
 from orbitforge.moments import circle_moment_match, verify_moment_match
 from orbitforge.nrange import diagonal_compression_subspace, verify_compression
 from orbitforge.operators import (
     BilateralShift,
     DiagonalUnitary,
+    MultiplicationGrid,
     OperatorPower,
     QuadraticIrrationalRotation,
 )
@@ -21,6 +25,7 @@ from orbitforge.vectors import WindowVector, normalize
 from orbitforge.witness import (
     almost_orthogonal_orbit,
     rokhlin_tower,
+    rotation_tower,
     verify_orbit,
     verify_rokhlin_tower,
     verify_zeroing,
@@ -67,64 +72,103 @@ def test_report_written_with_the_old_line_type_still_parses():
     assert json.loads(emit_report(c, "json"))["results"] == blob["results"]
 
 
-# -- builder lines are the verifier lines on the returned objects --------------
+# -- the builder's record is a fresh verifier record on the returned objects -----
+# each case returns (built, fresh) after the assertions the record alone cannot make
 
 
-def test_orbit_builder_lines_are_the_verifier_lines():
-    s = BilateralShift()
-    cert = almost_orthogonal_orbit(s, 6, 0.2)
-    assert verify_orbit(s, cert.x, 6, 0.2).checks == cert.checks
-    diag = DiagonalUnitary(QuadraticIrrationalRotation(2))
-    cert = almost_orthogonal_orbit(diag, 4, 0.25)
-    assert verify_orbit(diag, cert.x, 4, 0.25).checks == cert.checks
+def _orbit(op, n, eps):
+    cert = almost_orthogonal_orbit(op, n, eps)
+    return cert, verify_orbit(op, cert.x, n, eps)
 
 
-def test_tower_builder_lines_are_the_verifier_lines():
+def _tower():
     s = BilateralShift()
     tower = rokhlin_tower(s, 65, 0.25)
     again = verify_rokhlin_tower(s, tower.w, tower.u, 0.25)
-    assert again.checks == tower.checks
     assert list(again.link_residuals) == list(tower.link_residuals)
+    return tower, again
 
 
-def test_zeroing_builder_lines_are_the_verifier_lines():
+def _zeroing():
     s = BilateralShift()
     ops = (s, OperatorPower(s, 2), OperatorPower(s, 3))
     start = 0.75 ** 0.5 * WindowVector.basis(0)
     cert = zero_tuple_vector(ops, start=start, start_stage=2)
-    lines = verify_zeroing(s, [1, 2, 3], cert.x, start, 2, 1e-8)
-    assert lines == list(cert.checks.values())
+    again = verify_zeroing(s, [1, 2, 3], cert.x, start, 2, 1e-8)
     # the distance is measured from the start, against 3 * 2^{-k/2 - 1}
-    distance = next(c for c in lines if c.label == "distance")
-    assert distance.measured == (cert.x - start).norm()
-    assert distance.bound == 0.75
+    assert again.checks["distance"].measured == (cert.x - start).norm()
+    assert again.checks["distance"].bound == 0.75
+    return cert, again
 
 
-def test_flat_builder_lines_are_the_verifier_lines():
+def _flat():
     s = BilateralShift()
-    sub, report = flat_subspace(s, 0.5, 2, rng=3)
-    lines, measured = verify_flat_subspace(s, sub.basis, 0.5, rng=3)
-    assert [c.to_json() for c in lines] == report["checks"]
-    assert [r["n"] for r in measured["per_n"]] == [r["n"] for r in report["per_n"]]
-    assert measured["stage_bounds"] == report["stage_bounds"]
+    cert = flat_subspace(s, 0.5, 2, rng=3)
+    again = verify_flat_subspace(s, cert.basis, 0.5, rng=3)
+    assert again.per_n == cert.per_n
+    assert again.stage_bounds == cert.stage_bounds
+    return cert, again
 
 
-def test_compression_builder_lines_are_the_verifier_lines():
+def _compression():
     s = BilateralShift()
     res = diagonal_compression_subspace(s, 0.4 + 0.1j, 3, dim=2, delta=0.05)
     again = verify_compression(s, res.subspace, 0.4 + 0.1j, 3, 0.05)
-    assert again.checks == res.checks
     assert list(again.power_defects) == list(res.power_defects)
+    return res, again
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
-def test_moment_builder_lines_are_the_verifier_lines(mode):
+def _moments(mode):
     targets = [Fraction(0), Fraction(1, 100), Fraction(0), Fraction(1, 200)]
     res = circle_moment_match(targets, rho=1, mode=mode)
-    lines = verify_moment_match(
-        res.measure, [complex(t) for t in targets], mode, res.exact_certificate
+    again = verify_moment_match(
+        res.measure, [complex(t) for t in targets], mode, res.stages, res.exact_certificate
     )
-    assert lines == res.checks()
+    assert np.array_equal(again.residuals, res.residuals)
+    return res, again
+
+
+BUILDS = {
+    "orbit": lambda: _orbit(BilateralShift(), 6, 0.2),
+    "orbit_diagonal": lambda: _orbit(DiagonalUnitary(QuadraticIrrationalRotation(2)), 4, 0.25),
+    "tower": _tower,
+    "zeroing": _zeroing,
+    "flat": _flat,
+    "compression": _compression,
+    "moments_exact": lambda: _moments("exact"),
+    "moments_float": lambda: _moments("float"),
+}
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_builder_record_is_the_verifier_record(build):
+    built, fresh = BUILDS[build]()
+    assert isinstance(built, Certificate) and type(fresh) is type(built)
+    assert built.passed() and built.lines()
+    assert fresh.checks == built.checks
+
+
+def test_rotation_tower_returns_a_certificate():
+    tower = rotation_tower(MultiplicationGrid(64), 8)
+    assert isinstance(tower, Certificate) and tower.passed()
+    assert [c.label for c in tower.lines()] == ["zero_sum", "links", "unit_norms"]
+
+
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_run_check_reports_exactly_the_record_lines(check_id):
+    params, record = harness._SUITES[check_id]({}, 0)
+    assert isinstance(record, Certificate)
+    c = run_check(check_id, None, seed=0)
+    assert (c.params, c.results) == (params, record.lines())
+
+
+def test_certificate_verdict_and_slack_read_the_lines():
+    ok, tight = Check.at_most("a", 0.5, 1.0), Check.below("b", 0.9, 1.0)
+    cert = Certificate(checks={"a": ok, "b": tight})
+    assert cert.passed() and cert.lines() == [ok, tight] and cert.params == {}
+    assert cert.worst_slack() == pytest.approx(0.1)
+    assert not Certificate(checks={"c": Check.at_most("c", 2.0, 1.0)}).passed()
+    assert Certificate(checks={}).worst_slack() == 0.0
 
 
 # -- the harness lines ------------------------------------------------------------
@@ -139,17 +183,16 @@ def test_flat_sampled_ratio_is_an_enclosure(eps):
     line = next(r for r in c.results if r.label == "sampled_within_bounds")
     assert line.bound == 1.0 + 42 * 2.0 ** -53
     assert 1.0 - 1e-15 <= line.measured <= line.bound
-    sub, report = flat_subspace(BilateralShift(), eps, 1)
-    assert report["passed"]
-    assert line.to_json() in report["checks"]
+    cert = flat_subspace(BilateralShift(), eps, 1)
+    assert cert.passed()
+    assert cert.checks["sampled_within_bounds"] == line
 
 
 def _closed_form_lines(eps, d):
     s = BilateralShift()
-    sub, _ = flat_subspace(s, eps, d)
-    lines, _ = verify_flat_subspace(s, sub.basis, eps)
-    found = {c.label: Fraction(c.measured) for c in lines}
-    return [len(v) for v in sub.basis], found["sup_closed_form"], found["stage_tails_rescaled"]
+    basis = flat_subspace(s, eps, d).basis
+    found = {k: Fraction(c.measured) for k, c in verify_flat_subspace(s, basis, eps).checks.items()}
+    return [len(v) for v in basis], found["sup_closed_form"], found["stage_tails_rescaled"]
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.9, 1.5])

@@ -1,6 +1,5 @@
 """Command line: exit-code contract, config strictness, replay fidelity."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -14,6 +13,7 @@ from orbitforge.cli import main
 from orbitforge.config import ExperimentConfig, load_config, parse_config
 from orbitforge.errors import ConfigError
 from orbitforge.harness import CHECK_IDS
+from orbitforge.moments import AtomicMeasure, verify_moment_match
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -438,15 +438,19 @@ def test_moments_refuses_non_finite_input(flags, capsys):
 @pytest.mark.parametrize(
     "bend",
     [
-        lambda res: dataclasses.replace(res, residuals=res.residuals + 2e-9),
-        lambda res: dataclasses.replace(res, mass_defect=2e-12),
+        # moments off by about k 1e-8 |m_k|, or a mass 2e-12 above one
+        lambda m: AtomicMeasure(m.rho, m.positions * (1 + 1e-8), m.weights),
+        lambda m: AtomicMeasure(m.rho, m.positions, m.weights * (1 + 2e-12)),
     ],
 )
 def test_moments_exits_one_when_its_check_fails(bend, monkeypatch, capsys):
     real = cli.circle_moment_match
 
     def off(*args, **kwargs):
-        return bend(real(*args, **kwargs))
+        res = real(*args, **kwargs)
+        return verify_moment_match(
+            bend(res.measure), res.targets, res.mode, res.stages, res.exact_certificate
+        )
 
     assert main(["moments", "--eps", "0,0.1"]) == 0
     monkeypatch.setattr(cli, "circle_moment_match", off)
@@ -460,3 +464,39 @@ def test_moments_exits_one_when_its_check_fails(bend, monkeypatch, capsys):
 def test_flatten_refuses_non_finite_eps(eps, d, capsys):
     assert main(["flatten", "--eps", eps, "--d", d]) == 2
     assert "refused" in capsys.readouterr().err
+
+
+# -- malformed outside input is refused (exit 2) or a config error (exit 65) --
+
+
+@pytest.mark.parametrize("command", ["orbit", "tower", "compress", "flatten"])
+@pytest.mark.parametrize("model", ["grid:abc", "diagonal-qi:x", "bilateral-shift:zz"])
+def test_malformed_model_is_refused(command, model, capsys):
+    assert main([command, "--model", model]) == 2
+    assert f"refused: cannot read {model!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [None, "[[1, 0], [0, 1", '[["abc", 0], [0, 1]]', "[[null, 0], [0, 1]]"],
+    ids=["missing", "truncated", "non-numeric", "null"],
+)
+def test_nrange_refuses_a_malformed_matrix_file(text, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["nrange", "--matrix", str(path)]) == 2
+    assert "refused: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [None, "{", "{}", '{"check_id": "rokhlin_tower"}', "[1]"],
+    ids=["missing", "truncated", "empty", "no-params", "not-a-report"],
+)
+def test_replay_of_a_malformed_report_is_a_config_error(text, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["replay", "--from", str(path)]) == 65
+    assert "config error: cannot read" in capsys.readouterr().err

@@ -158,15 +158,16 @@ def stage_count_oracle(eps, r, power_bound=1):
 
 
 def test_flat_subspace_one_dimension():
-    sub, rep = flat_subspace(BilateralShift(), 0.5, 1)
-    assert sub.dim == 1
+    cert = flat_subspace(BilateralShift(), 0.5, 1)
+    rep = cert.to_json()
+    assert len(cert.basis) == 1
     assert rep["schedule"]["counts"] == [stage_count_oracle(0.5, 0)] == [4097]
     assert rep["sup_bound_closed_form"] <= 0.5 / 2
     assert rep["passed"]
 
 
 def test_flat_subspace_three_stage_certificate():
-    sub, rep = flat_subspace(BilateralShift(), 0.25, 3)
+    rep = flat_subspace(BilateralShift(), 0.25, 3).to_json()
     counts = rep["schedule"]["counts"]
     assert counts == [stage_count_oracle(0.25, r) for r in range(3)]
     assert counts == [16385, 262145, 2359297]
@@ -184,8 +185,9 @@ def test_flat_subspace_three_stage_certificate():
 
 
 def test_flat_subspace_compression_entries_raw():
-    sub, rep = flat_subspace(BilateralShift(), 1.9, 2)
-    y0, y1 = sub.basis
+    cert = flat_subspace(BilateralShift(), 1.9, 2)
+    rep = cert.to_json()
+    y0, y1 = cert.basis
     s0, s1 = rep["schedule"]["counts"]
     assert inner(y1, y0) == 0.0  # disjoint chunks
 
@@ -207,10 +209,10 @@ def test_flat_subspace_compression_entries_raw():
 
 
 def test_flat_subspace_replay_is_deterministic():
-    _, rep_a = flat_subspace(BilateralShift(), 1.5, 2, rng=7)
-    _, rep_b = flat_subspace(BilateralShift(), 1.5, 2, rng=7)
-    assert [r["n"] for r in rep_a["per_n"]] == [r["n"] for r in rep_b["per_n"]]
-    assert [r["norm"] for r in rep_a["per_n"]] == [r["norm"] for r in rep_b["per_n"]]
+    rep_a = flat_subspace(BilateralShift(), 1.5, 2, rng=7)
+    rep_b = flat_subspace(BilateralShift(), 1.5, 2, rng=7)
+    assert [r["n"] for r in rep_a.per_n] == [r["n"] for r in rep_b.per_n]
+    assert [r["norm"] for r in rep_a.per_n] == [r["norm"] for r in rep_b.per_n]
 
 
 def test_flat_vector_refusals():
@@ -243,13 +245,13 @@ def test_flat_subspace_validation_and_budget():
 
 
 def test_flat_report_csv_shape():
-    _, rep = flat_subspace(BilateralShift(), 1.5, 2)
-    text = flat_report_csv(rep)
+    cert = flat_subspace(BilateralShift(), 1.5, 2)
+    text = flat_report_csv(cert)
     lines = text.strip().split("\n")
     assert lines[0] == "n,norm,stage_bound"
-    assert len(lines) == 1 + len(rep["per_n"])
+    assert len(lines) == 1 + len(cert.per_n)
     n0 = int(lines[1].split(",")[0])
-    assert n0 == rep["per_n"][0]["n"]
+    assert n0 == cert.per_n[0]["n"]
 
 
 @given(st.floats(min_value=0.05, max_value=1.9))

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from orbitforge.errors import DegenerateInputError
@@ -21,6 +22,7 @@ from orbitforge.operators import (
     BilateralShift,
     DiagonalUnitary,
     MultiplicationGrid,
+    QuadraticIrrationalRotation,
     UnilateralShift,
 )
 from orbitforge.vectors import WindowVector
@@ -190,6 +192,7 @@ def test_build_model_shorthands():
     assert weighted.norm_bound() == pytest.approx(0.5)
     diag = build_model("diagonal-qi:3")
     assert isinstance(diag, DiagonalUnitary)
+    assert diag.phase_rule.d == 3
     grid = build_model("grid:128")
     assert isinstance(grid, MultiplicationGrid) and grid.dim == 128
     # dict and instance forms
@@ -201,6 +204,19 @@ def test_build_model_shorthands():
         build_model("moebius")
     with pytest.raises(DegenerateInputError):
         build_model("grid")
+
+
+def test_diagonal_qi_shorthand_rotates_by_sqrt_d():
+    idx = np.arange(-50, 50)
+    phases = {d: build_model(f"diagonal-qi:{d}").phase_rule.phases(idx) for d in (2, 3)}
+    assert not np.array_equal(phases[2], phases[3])
+    # the integer part of alpha drops out of frac(k alpha): the shorthand once
+    # passed d as the offset a, and diagonal-qi:2 keeps that rule's phases
+    assert np.array_equal(phases[2], QuadraticIrrationalRotation(2).phases(idx))
+    old, new = QuadraticIrrationalRotation(2), build_model("diagonal-qi:2").phase_rule
+    assert new.find_index(0.3, 1e-7) == old.find_index(0.3, 1e-7)
+    with pytest.raises(DegenerateInputError, match="non-square"):
+        build_model("diagonal-qi:4")
 
 
 def test_refusals_propagate_out_of_suites():

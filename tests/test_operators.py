@@ -24,7 +24,6 @@ from orbitforge.operators import (
     as_power,
     compress,
     operator_from_json,
-    power_tuple,
     spectral_error_bound,
 )
 from orbitforge.vectors import WindowVector, inner
@@ -246,7 +245,7 @@ def test_power_wrapper_flattens_and_unwraps():
 
 def test_power_tuple_and_json_round_trip():
     s = BilateralShift()
-    tup = power_tuple(s, 3)
+    tup = (OperatorPower(s, 1), OperatorPower(s, 2), OperatorPower(s, 3))
     assert [as_power(t)[1] for t in tup] == [1, 2, 3]
     assert all(as_power(t)[0] is s for t in tup)
     clone = operator_from_json(OperatorPower(s, 4).to_json())

@@ -2,6 +2,8 @@
 standard library, numpy, or the package itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,3 +41,17 @@ def test_imports_are_stdlib_numpy_or_relative(path):
 def test_the_walk_sees_imports_inside_functions():
     tree = ast.parse("def f():\n    from scipy import linalg\n    import numpy.linalg\n")
     assert list(_imported_modules(tree)) == [("scipy", 2), ("numpy", 3)]
+
+
+def test_importing_the_package_loads_no_command_line_modules():
+    # the command line and its config parsers load only with orbitforge.cli
+    code = (
+        "import sys, orbitforge; "
+        "print(sorted({'orbitforge.cli', 'orbitforge.config', 'argparse', "
+        "'configparser'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -162,8 +162,8 @@ def test_normalize_zero_refused():
 
 def test_vector_json_entries_are_index_re_im():
     v = entries((-1, 0.25 + 0.5j), (7, -3.0))
-    blob = json.loads(json.dumps(vector_to_json(v, kind="test", params={"n": 1})))
-    assert blob == {"kind": "test", "params": {"n": 1}, "entries": [[-1, 0.25, 0.5], [7, -3.0, 0.0]]}
+    blob = json.loads(json.dumps(vector_to_json(v, kind="test")))
+    assert blob == {"kind": "test", "params": {}, "entries": [[-1, 0.25, 0.5], [7, -3.0, 0.0]]}
 
 
 def test_storage_is_frozen():
@@ -486,7 +486,7 @@ def test_add_scaled_drops_exact_cancellation():
     out = add_scaled(u, v, 1.0, -1.0)
     assert out.indices.tolist() == [-(2 ** 62) + 1, 5, 7]
     assert_bit_identical(out, add_scaled_by_sort(u, v, 1.0, -1.0))
-    assert add_scaled(u, u, 1.0, -1.0).nnz == 0
+    assert len(add_scaled(u, u, 1.0, -1.0)) == 0
 
 
 # -- combine: the dense accumulator against the left fold of add_scaled
@@ -599,7 +599,7 @@ def test_combine_sparse_path_bit_identical_to_the_sorting_fold():
 
 def test_combine_empty_and_lone_terms():
     assert combine([]) == WindowVector.zero()
-    assert combine([(2.0, WindowVector.zero()), (1j, WindowVector.zero())]).nnz == 0
+    assert len(combine([(2.0, WindowVector.zero()), (1j, WindowVector.zero())])) == 0
     # a lone term keeps its bits, signed zero components included, on the
     # dense path (slice and fancy index) and on the sparse one
     values = [complex(-0.0, 1.5), complex(2.0, -0.0), complex(-1.0, 0.0)]
@@ -609,7 +609,7 @@ def test_combine_empty_and_lone_terms():
         for c in (0.5 - 2j, -1.0):
             assert_bit_identical(combine([(c, v)]), combine_by_fold([(c, v)]))
             assert_bit_identical(combine([(c, v), (0.0, WindowVector.zero())]), c * v)
-        assert combine([(1, v), (-1, v)]).nnz == 0
+        assert len(combine([(1, v), (-1, v)])) == 0
 
 
 # -- combine placements: per-run slices against one fancy index per term
