@@ -22,6 +22,7 @@ from .flatten import flat_report_csv, flat_subspace
 from .harness import (
     CHECK_IDS,
     STATEMENTS,
+    _complex_param,
     build_model,
     check_from_json,
     emit_report,
@@ -64,11 +65,7 @@ def _emit_json(obj, path):
 def _load_matrix(path):
     with open(path, "r", encoding="utf-8") as fh:
         rows = json.load(fh)
-
-    def entry(e):
-        return complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e)
-
-    return np.array([[entry(e) for e in row] for row in rows])
+    return np.array([[_complex_param(e) for e in row] for row in rows])
 
 
 def _load_report(path):

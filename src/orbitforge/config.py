@@ -49,15 +49,6 @@ class ExperimentConfig:
                 location="output.format",
             )
 
-    def to_json(self):
-        return {
-            "command": self.command,
-            "model": self.model,
-            "seed": self.seed,
-            "params": dict(self.params),
-            "output": {"path": self.output_path, "format": self.output_format},
-        }
-
 
 def _scalar(text):
     """JSON value when the text parses as one, the raw string otherwise."""

@@ -1,29 +1,31 @@
-"""A small formal ring that makes moment matching exactly verifiable.
+"""Exact moment algebra: Laurent polynomials in the stage moduli.
 
 The circle construction places atom rings whose radii and directions involve
 |e| and e^{1/s} of Gaussian-rational residuals e, which are not Gaussian
-rationals themselves.  Instead of numerical radicals, each stage s introduces
-two commuting symbols:
+rationals themselves.  Instead of numerical radicals, each stage s has two
+commuting symbols:
 
     R_s   the modulus of the stage-s residual (a positive real),
     E_s   the principal s-th root of the residual's direction,
 
-subject to the single rewrite rule
+related by E_s**s = resid_s * R_s**-1, where resid_s is the stage-s residual,
+a polynomial in the moduli of earlier stages only.  Stage s adds
+R_s * E_s**k * rho**(k-s) to moment k only for the multiples k = q*s, so the
+relation is applied once, as a closed-form substitution: :func:`add_stage`
+adds
 
-    E_s**s  ->  residual_s * R_s**-1
+    R_s**(1-q) * resid_s**q * rho**(k-s)
 
-where residual_s is the stored stage-s residual, an element built from
-symbols of earlier stages only.  Under that rule the measure's k-th moment
-minus the k-th target reduces to the literal zero element, and the total mass
-to the literal one, so exactness is a syntactic fact checked by normal-form
-comparison, not a float being small.
+to moment k, and no power of E_s is ever formed.  E_s only enters as a float,
+for the atom positions.  Every moment is then a Laurent polynomial in the
+R_s, the measure's k-th moment minus the k-th target is the empty polynomial
+and the total mass is one, so exactness is a syntactic fact checked by
+normal-form comparison, not a float being small.
 
-Elements are dicts mapping monomials to Gaussian-rational coefficients, each
-a :class:`QI` held as ints (a, b, d) for (a + b*i)/d in a normal form unique
-to its value; monomials map symbols to integer exponents (R_s exponents may be
-negative, E_s exponents stay in 0..s-1 after reduction).  Rewriting
-terminates because each application strictly lowers the E_s exponent and only
-introduces symbols of smaller stage index.
+A polynomial is a dict mapping monomials to Gaussian-rational coefficients,
+each a :class:`QI` held as ints (a, b, d) for (a + b*i)/d in a normal form
+unique to its value; a monomial is a tuple of (stage, exponent) pairs sorted
+by stage, with nonzero (possibly negative) exponents of the R_s.
 """
 
 from __future__ import annotations
@@ -137,7 +139,6 @@ def _as_qi(x):
 
 QI_ONE = QI(1)
 
-# monomial: tuple of ((kind, stage), exponent), sorted by symbol
 EMPTY_MONOMIAL = ()
 
 
@@ -156,67 +157,6 @@ def _mono_mul(m1, m2):
     return tuple(sorted(out.items()))
 
 
-class Ring:
-    """Carrier for the per-stage residual elements the rewrite rule needs."""
-
-    def __init__(self):
-        self.residuals = {}
-
-    def store_residual(self, stage, element):
-        if stage in self.residuals:
-            raise DegenerateInputError(f"stage {stage} residual already stored")
-        self.residuals[stage] = element
-
-    # -- element construction -------------------------------------------
-
-    def zero(self):
-        return RingElement(self, {})
-
-    def const(self, value):
-        value = _as_qi(value)
-        return RingElement(self, {EMPTY_MONOMIAL: value} if value else {})
-
-    def symbol(self, kind, stage, exponent=1):
-        if kind not in ("R", "E"):
-            raise DegenerateInputError(f"unknown symbol kind {kind!r}")
-        exponent = int(exponent)
-        if exponent == 0:
-            return self.const(1)
-        if kind == "E" and exponent < 0:
-            raise DegenerateInputError("direction symbols only carry positive powers")
-        mono = (((kind, int(stage)), exponent),)
-        return RingElement(self, {mono: QI_ONE})._reduced()
-
-    # -- rewriting --------------------------------------------------------
-
-    def _reduce_term(self, mono, coeff, out):
-        """Accumulate the normal form of coeff*mono into the dict out."""
-        for (kind, stage), e in mono:
-            if kind == "E" and e >= stage:
-                q, rem = divmod(e, stage)
-                rest = dict(mono)
-                if rem:
-                    rest[("E", stage)] = rem
-                else:
-                    del rest[("E", stage)]
-                r_exp = rest.get(("R", stage), 0) - q
-                if r_exp:
-                    rest[("R", stage)] = r_exp
-                else:
-                    rest.pop(("R", stage), None)
-                rest = tuple(sorted(rest.items()))
-                residual = self.residuals.get(stage)
-                if residual is None:
-                    raise DegenerateInputError(
-                        f"no stored residual for stage {stage}; cannot rewrite E_{stage}^{e}"
-                    )
-                power = residual._pow_raw(q)
-                for m2, c2 in power.items():
-                    self._reduce_term(_mono_mul(rest, m2), coeff * c2, out)
-                return
-        _accumulate(out, mono, coeff)
-
-
 def _accumulate(out, mono, coeff):
     """out[mono] += coeff, storing coeff itself for a new monomial and
     dropping the monomial when the sum is zero."""
@@ -232,106 +172,38 @@ def _accumulate(out, mono, coeff):
         del out[mono]
 
 
-class RingElement:
-    __slots__ = ("ring", "terms")
+def minus(p, q):
+    """The polynomial p - q."""
+    out = dict(p)
+    for mono, coeff in q.items():
+        _accumulate(out, mono, -coeff)
+    return out
 
-    def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = terms
 
-    def _reduced(self):
-        out = {}
-        for mono, coeff in self.terms.items():
-            self.ring._reduce_term(mono, coeff, out)
-        return RingElement(self.ring, out)
+def add_stage(moments, s, resid, rho):
+    """Add stage s to the moment polynomials: R_s**(1-q) * resid**q *
+    rho**(k-s) to ``moments[k - 1]`` for each multiple k = q*s, where resid,
+    the stage-s residual, involves the moduli of earlier stages only and rho
+    is a Fraction.  resid**q takes one more product per multiple."""
+    power = {EMPTY_MONOMIAL: QI_ONE}
+    for q, k in enumerate(range(s, len(moments) + 1, s), start=1):
+        nxt = {}
+        for m1, c1 in power.items():
+            for m2, c2 in resid.items():
+                _accumulate(nxt, _mono_mul(m1, m2), c1 * c2)
+        power = nxt
+        modulus = ((s, 1 - q),) if q > 1 else EMPTY_MONOMIAL
+        scale = QI(rho ** (k - s))
+        for mono, coeff in power.items():
+            _accumulate(moments[k - 1], _mono_mul(modulus, mono), coeff * scale)
 
-    def is_zero(self):
-        return not self.terms
 
-    def __eq__(self, other):
-        if isinstance(other, RingElement):
-            return self.ring is other.ring and self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            _accumulate(out, mono, coeff)
-        return RingElement(self.ring, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RingElement(self.ring, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def _pow_raw(self, q):
-        """terms of self**q without re-wrapping (q >= 0)."""
-        result = {EMPTY_MONOMIAL: QI_ONE}
-        for _ in range(q):
-            nxt = {}
-            for m1, c1 in result.items():
-                for m2, c2 in self.terms.items():
-                    _accumulate(nxt, _mono_mul(m1, m2), c1 * c2)
-            result = nxt
-        return result
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                self.ring._reduce_term(_mono_mul(m1, m2), c1 * c2, out)
-        return RingElement(self.ring, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, q):
-        q = int(q)
-        if q < 0:
-            raise DegenerateInputError("negative element powers are not defined")
-        out = self.ring.const(1)
-        for _ in range(q):
-            out = out * self
-        return out
-
-    def _coerce(self, other):
-        if isinstance(other, RingElement):
-            if other.ring is not self.ring:
-                raise DegenerateInputError("elements belong to different rings")
-            return other
-        return self.ring.const(other)
-
-    def evaluate(self, valuation):
-        """Numeric mirror: valuation maps (kind, stage) to a complex value."""
-        total = 0j
-        for mono, coeff in self.terms.items():
-            term = coeff.to_complex()
-            for sym, e in mono:
-                term *= valuation[sym] ** e
-            total += term
-        return total
-
-    def __repr__(self):
-        if not self.terms:
-            return "RingElement(0)"
-        parts = []
-        for mono, coeff in sorted(self.terms.items()):
-            if mono:
-                syms = "*".join(
-                    f"{kind}_{stage}^{e}" if e != 1 else f"{kind}_{stage}"
-                    for (kind, stage), e in mono
-                )
-                parts.append(f"({coeff.re}+{coeff.im}i)*{syms}")
-            else:
-                parts.append(f"({coeff.re}+{coeff.im}i)")
-        return "RingElement(" + " + ".join(parts) + ")"
+def evaluate(p, moduli):
+    """Numeric mirror of p: ``moduli`` maps stage s to the float value of R_s."""
+    total = 0j
+    for mono, coeff in p.items():
+        term = coeff.to_complex()
+        for s, e in mono:
+            term *= moduli[s] ** e
+        total += term
+    return total

@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,8 +204,16 @@ def _int_param(value):
 
 
 def _complex_param(value):
-    z = complex(value[0], value[1]) if isinstance(value, (list, tuple)) else complex(value)
-    return z, [z.real, z.imag]
+    """A number or a complex literal such as "0.4+0.1j", or a list of exactly
+    two real numbers [re, im]; booleans are refused rather than read as 0 or 1."""
+    if isinstance(value, (list, tuple)):
+        real = (isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value)
+        if len(value) != 2 or not all(real):
+            raise ValueError(f"{value!r} is not a pair [re, im] of real numbers")
+        return complex(value[0], value[1])
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return complex(value)
 
 
 def _model(params, default):
@@ -228,10 +237,11 @@ def _check_orbit_reverse_eigenvector(params, seed):
     n = _param(params, "n", 8, _int_param)
     # n < 1 is refused by the builder, not by a ZeroDivisionError here
     eps = _param(params, "eps", 1.0 / max(n, 1), float)
-    lam, lam_json = _param(params, "lam", 1.0, _complex_param)
+    lam = _param(params, "lam", 1.0, _complex_param)
     cert = almost_orthogonal_orbit(op, n, eps, window_budget=budget)
     pair = orbit_to_approx_eigenvector(op, cert.x, lam, n)
-    return dict(norm, n=n, eps=eps, lam=lam_json), verify_eigenpair(op, pair.vector, lam, n)
+    record = verify_eigenpair(op, pair.vector, lam, n)
+    return dict(norm, n=n, eps=eps, lam=[lam.real, lam.imag]), record
 
 
 def _check_unitary_orthogonal_orbit(params, seed):
@@ -264,11 +274,11 @@ def _check_tuple_zeroing(params, seed):
 
 def _check_diagonal_compression(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
-    lam, lam_json = _param(params, "lam", [0.4, 0.1], _complex_param)
+    lam = _param(params, "lam", [0.4, 0.1], _complex_param)
     n, dim = _param(params, "n", 3, _int_param), _param(params, "dim", 2, _int_param)
     delta = _param(params, "delta", 0.05, float)
     res = diagonal_compression_subspace(op, lam, n, dim=dim, delta=delta, window_budget=budget)
-    return dict(norm, lam=lam_json, n=n, dim=dim, delta=delta), res
+    return dict(norm, lam=[lam.real, lam.imag], n=n, dim=dim, delta=delta), res
 
 
 def _check_moment_exact(params, seed):
@@ -279,7 +289,7 @@ def _check_moment_exact(params, seed):
         # strings such as "1/100" read through Fraction in both modes
         if exact:
             return Fraction(str(t))
-        return complex(Fraction(t)) if isinstance(t, str) else _complex_param(t)[0]
+        return complex(Fraction(t)) if isinstance(t, str) else _complex_param(t)
 
     def real(t):
         if exact:

@@ -13,10 +13,10 @@ is exactly what makes the gadget masses sum to at most one; the leftover mass
 sits on rotated (n+1)-th roots, invisible to moments 1..n.
 
 Float mode measures each stage residual from the atoms already placed, so
-rounding never accumulates.  Exact mode runs the same construction in the
-formal ring of :mod:`orbitforge.exactring`, where the moment defects and the
-mass defect reduce to literal zeros, and carries float mirrors of the symbols
-to emit concrete atoms.
+rounding never accumulates.  Exact mode runs the same construction on
+Laurent polynomials in the stage moduli (:mod:`orbitforge.exactring`), where
+the moment defects and the mass defect reduce to literal zeros, and carries
+float mirrors of the symbols to emit concrete atoms.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     NumericalError,
     ResolutionError,
 )
-from .exactring import QI, Ring
+from .exactring import EMPTY_MONOMIAL, QI, add_stage, evaluate, minus
 from .operators import TWO_PI
 
 # the moment statement's bounds: moment error by mode, and mass error
@@ -207,50 +207,38 @@ def _match_exact(eps, rho):
                 admissible_radius=float(r_exact),
             )
 
-    ring = Ring()
-    targets = [ring.const(e) for e in eps_qi]
-    contrib = [ring.zero() for _ in range(n)]
-    valuation: dict = {}
+    targets = [{EMPTY_MONOMIAL: e} if e else {} for e in eps_qi]
+    contrib = [{} for _ in range(n)]
+    moduli, roots = {}, {}  # float mirrors of R_s and E_s
     stages = []
     for s in range(1, n + 1):
-        resid = targets[s - 1] - contrib[s - 1]
-        if resid.is_zero():
+        resid = minus(targets[s - 1], contrib[s - 1])
+        if not resid:
             continue
-        ring.store_residual(s, resid)
-        mirror = resid.evaluate(valuation)
-        valuation[("R", s)] = abs(mirror)
-        valuation[("E", s)] = (
-            _principal_root_of_direction(mirror, s) if mirror != 0 else 1.0
-        )
+        mirror = evaluate(resid, moduli)
+        moduli[s] = abs(mirror)
+        roots[s] = _principal_root_of_direction(mirror, s) if mirror != 0 else 1.0
         stages.append(s)
-        for k in range(s, n + 1, s):
-            term = (
-                ring.symbol("R", s)
-                * ring.symbol("E", s, k)
-                * ring.const(rho_q ** (k - s))
-            )
-            contrib[k - 1] = contrib[k - 1] + term
-
-    # the whole point of the ring: these are literal zeros or the build is wrong
-    for k in range(1, n + 1):
-        defect = contrib[k - 1] - targets[k - 1]
-        if not defect.is_zero():
-            raise NumericalError(f"stage algebra left a nonzero moment-{k} defect")
-    gadget_mass = ring.zero()
-    for s in stages:
-        gadget_mass = gadget_mass + ring.symbol("R", s) * ring.const(rho_q ** (-s))
-    pad_el = ring.const(1) - gadget_mass
-    if not (gadget_mass + pad_el - ring.const(1)).is_zero():
-        raise NumericalError("mass element did not reduce to one")
+        add_stage(contrib, s, resid, rho_q)
+    # normal forms are unique, so these are the exact zero tests: the moment
+    # defects, and the gadget masses R_s rho^-s plus the pad against one
+    one = {EMPTY_MONOMIAL: QI(1)}
+    gadgets = {((s, 1),): QI(rho_q ** -s) for s in stages}
+    spare = minus(one, gadgets)
+    certificate = {
+        "moment_defects_zero": not any(minus(c, t) for c, t in zip(contrib, targets)),
+        "mass_defect_zero": not minus(minus(one, spare), gadgets),
+        "stages": list(stages),
+    }
 
     rho_f = float(rho_q)
     positions: list = []
     weights: list = []
     for s in stages:
-        w = valuation[("R", s)] / (s * rho_f ** s)
+        w = moduli[s] / (s * rho_f ** s)
         if w == 0.0:
             continue  # mirror collapsed; the symbolic certificate still stands
-        positions.extend(_gadget_positions(rho_f, s, valuation[("E", s)]))
+        positions.extend(_gadget_positions(rho_f, s, roots[s]))
         weights.extend([w] * s)
     pad = 1.0 - float(np.sum(weights)) if weights else 1.0
     if pad < -1e-9:
@@ -259,11 +247,6 @@ def _match_exact(eps, rho):
         positions.extend(_gadget_positions(rho_f, n + 1, 1.0))
         weights.extend([pad / (n + 1)] * (n + 1))
     measure = AtomicMeasure(rho_f, np.array(positions), np.array(weights))
-    certificate = {
-        "moment_defects_zero": True,
-        "mass_defect_zero": True,
-        "stages": list(stages),
-    }
     targets_c = [e.to_complex() for e in eps_qi]
     return verify_moment_match(measure, targets_c, "exact", stages, certificate)
 
@@ -273,8 +256,9 @@ def verify_moment_match(measure, targets, mode, stages, exact_certificate=None):
 
     Lines, for a mode with a bound in MOMENT_BOUNDS: moment_error
     max_k |m_k - e_k|, mass | mass - 1 | and, in exact mode,
-    symbolic_zero_defects (0 when the ring left literal zeros), which reads
-    ``exact_certificate``, the ring's zero tests that atoms cannot redo.
+    symbolic_zero_defects (0 when the stage algebra left literal zeros),
+    which reads ``exact_certificate``, the exact zero tests that atoms cannot
+    redo.
     """
     targets = np.asarray(targets, np.complex128)
     residuals = measure.moments(len(targets)) - targets

@@ -677,27 +677,40 @@ def rotation_tower(grid, n, w0=None, window_budget=None):
         factors = roots[(j * cls) % n]
         w.append(WindowVector(w0.indices, w0.values * factors))
 
+    tower = verify_rotation_tower(grid, w)
+    tower.params = {
+        "model": grid.kind,
+        "n_nodes": n_nodes,
+        "class_counts": np.bincount(cls, minlength=n).tolist(),
+        "entries_charged": meter.used,
+    }
+    require(tower.lines(), "rotation tower")
+    return tower
+
+
+def verify_rotation_tower(grid, w):
+    """Tower record (empty params) with zero_sum max |sum_j w_j| <= 1e-12
+    pointwise, links max_j ||T w_j - w_{j+1}|| <= 2 pi/n over the cyclic
+    links (w_n = w_0) and unit_norms max_j | ||w_j|| - 1 | <= UNIT_TOL."""
+    n = len(w)
     links = _links(grid, w)
     total = combine((1, v) for v in w)
     sum_defect = float(np.max(np.abs(total.values))) if len(total.values) else 0.0
     norm_dev = max(abs(v.norm() - 1.0) for v in w)
-
     # the w_j are NOT near-orthogonal here (the forbidden zero class
     # unbalances the arcs), so the Gram defect is informational; the Gram
     # is circulant, so its first column holds every off-diagonal value
     gram_defect = float(np.max(np.abs(cross_gram(w[1:], w[:1]))))
-
     link_bound = TWO_PI / n
-    checks = require(
+    checks = by_label(
         (
             Check.at_most("zero_sum", sum_defect, 1e-12),
             Check.at_most("links", np.max(links), link_bound),
             Check.at_most("unit_norms", norm_dev, UNIT_TOL),
-        ),
-        "rotation tower",
+        )
     )
     return Tower(
-        w=w,
+        w=list(w),
         u=None,
         eps=link_bound,
         link_residuals=links,
@@ -705,10 +718,4 @@ def rotation_tower(grid, n, w0=None, window_budget=None):
         mean_defect=None,
         sum_defect=sum_defect,
         checks=checks,
-        params={
-            "model": grid.kind,
-            "n_nodes": n_nodes,
-            "class_counts": np.bincount(cls, minlength=n).tolist(),
-            "entries_charged": meter.used,
-        },
     )

