@@ -16,11 +16,12 @@ conj(v_i)``.  All stored arrays are frozen (``writeable=False``).
 otherwise it merges the two supports, cut to each other's range, with one
 stable in-place sort of their concatenation, a linear two-run merge, and
 looks up only the shared indices.  Every Gram and compression matrix goes
-through :func:`cross_gram`: a family whose joint index span is at most twice
-its largest support is scattered into dense column blocks, one BLAS product
-each (a Gram scatters each block once); a sparser family falls back to
-pairwise ``inner``.  Every vector sum, two-term ``add_scaled`` included, goes
-through :func:`combine`: the terms are added in order into one accumulator
+through :func:`cross_gram`: within a joint index span of at most twice the
+largest support, translates of one vector are a Toeplitz fill of one
+pairwise sum per shift and other families dense column blocks, one BLAS
+product each (a Gram scatters each block once); a sparser family falls back
+to pairwise ``inner``.  Every vector sum, two-term ``add_scaled`` included,
+goes through :func:`combine`: the terms are added in order into one accumulator
 that starts at -0.0, on the joint index span when that is at most twice the
 summed support, else on the distinct indices of the same merge ``inner``
 uses.  A term goes in one slice per run of consecutive indices, one slice
@@ -472,15 +473,41 @@ def _dense_block(vectors, lo, width):
     return block
 
 
+def _translate_gram(us, vs):
+    """cross_gram of translates of one x (equal values, base index arrays equal
+    up to a constant; the scan stops at the first vector that is not), else
+    None.  G[i, j] = t(s_i - s_j) for first indices s, with t(k) = <T^k x, x>
+    one numpy pairwise sum over x's dense span d per distinct |k| (the span
+    guard keeps |k| <= len(d)) and t(-k) = conj(t(k)); t(0) = ||x||^2 is
+    real, so a Gram is exactly Hermitian."""
+    x = (us + vs)[0]
+    for v in us if us is vs else us + vs:
+        if not len(v) or not (v.values is x.values or np.array_equal(v.values, x.values)):
+            return None
+        if not (v._base is x._base or np.array_equal(v._base, x._base + (v._base[0] - x._base[0]))):
+            return None
+    lo, hi = x.support_range()
+    d = _dense_block([x], lo, hi - lo + 1)[0]
+    diff = np.subtract.outer(*[np.array([v.support_range()[0] for v in f], np.int64) for f in (us, vs)])
+    ks, where = np.unique(np.abs(diff), return_inverse=True)
+    t = np.empty(len(ks), np.complex128)
+    dc, prod = np.conj(d), np.empty_like(d)  # prod: one product buffer for every k
+    for i, k in enumerate(ks.tolist()):
+        t[i] = np.sum(np.multiply(d[:len(d) - k], dc[k:], out=prod[:len(d) - k]))
+    t.imag[ks == 0] = 0.0
+    g = t[where].reshape(diff.shape)
+    return np.where(diff < 0, np.conj(g), g)
+
+
 def cross_gram(us, vs):
     """G[i, j] = <u_i, v_j> for two finite families.
 
-    When the joint index span is at most twice the largest support the
-    vectors are scattered into dense blocks of a few MB each, the right block
-    conjugated in place, and G accumulates one BLAS product per block; when
-    both families are one object (as :func:`gram` passes them) each block is
-    scattered once and its conjugate is the right block.  Otherwise G is
-    filled with pairwise :func:`inner`.
+    When the joint index span is at most twice the largest support, G is
+    :func:`_translate_gram`'s Toeplitz fill for translates of one vector, else
+    one BLAS product per dense block of a few MB, the right block conjugated
+    in place; when both families are one object (as :func:`gram` passes
+    them) each block is scattered once and its conjugate is the right block.
+    Otherwise G is filled with pairwise :func:`inner`.
     """
     same = us is vs
     us = list(us)
@@ -493,6 +520,8 @@ def cross_gram(us, vs):
     lo = min(first for first, _ in ends)
     span = max(last for _, last in ends) - lo + 1
     if span <= 2 * max(map(len, us + vs)):
+        if (toeplitz := _translate_gram(us, vs)) is not None:
+            return toeplitz
         step = max(1, _BLOCK_ENTRIES // max(len(us), len(vs)))
         for start in range(lo, lo + span, step):
             width = min(step, lo + span - start)

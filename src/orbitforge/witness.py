@@ -404,6 +404,10 @@ def _require_unit_circle(base):
         )
 
 
+# a budget-capped orbit window must predict a recurrence at most this times eps
+_RECURRENCE_MARGIN = 0.999
+
+
 def almost_orthogonal_orbit(base, n, eps, window_budget=None):
     """Unit x whose orbit under T is almost orthonormal and almost periodic.
 
@@ -416,6 +420,12 @@ def almost_orthogonal_orbit(base, n, eps, window_budget=None):
     of their roots, so every form |<T^j x, x>| is at most 5e-9.  The check
     lines are those of :func:`verify_orbit`, whose ``orthogonality`` line
     is the one guard on the forms: a miss raises NumericalError.
+
+    A shift window of length m leaves the recurrence at sqrt(2n/m).  When
+    the budget caps m, a window whose sqrt(2n/m) exceeds 0.999 eps is
+    refused with WindowBudgetError before anything is built.  The measured
+    recurrence matches sqrt(2n/m) to rounding; the 0.1% margin also covers
+    the window profile's modulus factor |r|^-k, off 1 by at most m 1e-12.
     """
     n = int(n)
     if n < 1:
@@ -446,11 +456,13 @@ def almost_orthogonal_orbit(base, n, eps, window_budget=None):
         budget_limited = m > affordable
         if budget_limited:
             m = affordable
-        if m < 2 * n + 2:
+        # m_target's recurrence sqrt(2n/m) is eps/2: only a capped m falls below m_min
+        m_min = max(2 * n + 2, math.ceil(2.0 * n / (_RECURRENCE_MARGIN * eps) ** 2))
+        if m < m_min:
             raise WindowBudgetError(
-                f"orbit of length {n} needs at least {(2 * n + 2) * n * (n + 2)} "
-                f"stored entries, budget is {meter.limit}",
-                required=(2 * n + 2) * n * (n + 2),
+                f"orbit of length {n} at eps {eps:g} needs at least "
+                f"{m_min * n * (n + 2)} stored entries, budget is {meter.limit}",
+                required=m_min * n * (n + 2),
                 budget=meter.limit,
             )
 

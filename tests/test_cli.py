@@ -190,6 +190,32 @@ def test_replay_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert replayed.returncode == 0
 
 
+def test_orbit_report_replays_across_blas_thread_counts(tmp_path):
+    # the n = 24 orbit's Gram was a blocked BLAS product whose bits moved
+    # with the thread count; a translate family's Gram is summed by the code
+    cfg, report = tmp_path / "orbit.ini", tmp_path / "report.json"
+    cfg.write_text(
+        "[experiment]\ncommand = verify\n\n[params]\n"
+        'check = "orbit_certificate"\nn = 24\neps = 0.1\n'
+    )
+    written = _run_with_blas_threads(2, "verify", "--config", str(cfg), "--out", str(report))
+    assert written.returncode == 0, written.stdout + written.stderr
+    replayed = _run_with_blas_threads(1, "replay", "--from", str(report))
+    assert replayed.stdout.splitlines() == ["identical orbit_certificate seed=0"], (
+        replayed.stdout + replayed.stderr
+    )
+    assert replayed.returncode == 0
+
+
+@pytest.mark.parametrize("n, eps", [("64", "0.1"), ("40", "0.05")])
+def test_orbit_refuses_a_window_whose_recurrence_misses_eps(n, eps, capsys):
+    # the default budget caps the window where sqrt(2n/m) exceeds eps: at
+    # (64, 0.1) it is 0.104, which the builder used to measure and fail on
+    assert main(["orbit", "--n", n, "--eps", eps]) == 2
+    err = capsys.readouterr().err
+    assert "refused" in err and "stored entries, budget is 50000000" in err
+
+
 def test_float_moment_suite_passes_at_defaults_and_replays(tmp_path, capsys):
     # the default targets are fraction strings such as "1/100"
     cfg = tmp_path / "float.json"

@@ -401,6 +401,10 @@ def sparse_families(draw):
     return draw(st.permutations(rows))
 
 
+def gamma(n):
+    return n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+
+
 def within_rounding(g, us, vs, tol=1e-14):
     bound = tol * np.outer([u.norm() for u in us], [v.norm() for v in vs])
     return bool(np.all(np.abs(g - pairwise(us, vs)) <= bound))
@@ -424,18 +428,70 @@ def test_cross_gram_sparse_path_is_pairwise_inner(us, vs):
 
 
 def test_cross_gram_blocks_a_long_shift_orbit():
-    # a shift orbit spans several dense blocks; error stays at the
-    # gamma_n level of an n-term inner product
+    # a shift orbit longer than one dense block takes the translate path;
+    # error stays at the gamma_n level of an n-term inner product
     rng = np.random.default_rng(3)
     m = 40_000
     x = WindowVector(np.arange(m, dtype=np.int64), rng.normal(size=m) + 1j * rng.normal(size=m))
     orbit = [x.translate(j) for j in range(17)]
     g = gram(orbit)
-    n_terms = m + 17
-    gamma = n_terms * 2.0 ** -53 / (1 - n_terms * 2.0 ** -53)
-    assert within_rounding(g, orbit, orbit, tol=2 * gamma)
+    assert within_rounding(g, orbit, orbit, tol=2 * gamma(m + 17))
     assert cross_gram([], orbit).shape == (0, 17)
     assert cross_gram(orbit, [WindowVector.zero()]).tolist() == [[0j]] * 17
+
+
+@st.composite
+def dense_translate_families(draw):
+    """Translates of one x (an m-run with at most m/4 holes) by at most m/4
+    each way, so the joint span stays within twice the support; each member
+    shares x's arrays or is a fresh copy."""
+    lo = draw(st.sampled_from((0, -17, 10 ** 15)))
+    m = draw(st.integers(1, 24))
+    holes = draw(st.lists(st.integers(lo, lo + m - 1), max_size=m // 4))
+    x = on(draw, np.setdiff1d(np.arange(lo, lo + m, dtype=np.int64), holes), nonzero)
+    shifts = draw(st.lists(st.integers(-(m // 4), m // 4), min_size=1, max_size=6))
+    return [fresh(x.translate(s)) if draw(st.booleans()) else x.translate(s) for s in shifts]
+
+
+@given(dense_translate_families(), st.integers(1, 6))
+def test_translate_family_gram_is_a_hermitian_toeplitz_fill(family, cut):
+    us, vs = family[:cut], family[cut:]
+    fills, toeplitz = [], vectors._translate_gram
+
+    def spy(*args):
+        fills.append(toeplitz(*args))
+        return fills[-1]
+
+    with mock.patch.object(vectors, "_translate_gram", spy), mock.patch.object(
+        vectors, "inner", side_effect=AssertionError("sparse path taken")
+    ):
+        g = gram(family)
+        c = cross_gram(us, vs)
+    assert len(fills) == 2 and all(fill is not None for fill in fills)
+    # both sums add the same products, so each is within gamma_L sum |t| of
+    # the exact value (Higham, Accuracy and Stability, sec. 4.2), per part
+    lo, hi = family[0].support_range()
+    tol = 2 * math.sqrt(2) * gamma(hi - lo + 1)
+    assert within_rounding(g, family, family, tol=tol)
+    assert within_rounding(c, us, vs, tol=tol)
+    assert np.array_equal(g, g.conj().T) and not np.any(np.diag(g).imag)
+
+
+def test_sparse_translate_family_never_allocates_its_span():
+    # a 2^22 span holds 64 MB dense; nine stored entries take the pairwise path
+    rng = np.random.default_rng(12)
+    idx = np.append(np.arange(8, dtype=np.int64), 1 << 22)
+    x = WindowVector(idx, rng.normal(size=9) + 1j * rng.normal(size=9))
+    family = [x.translate(j) for j in range(4)] + [fresh(x.translate(5))]
+    tracemalloc.start()
+    try:
+        with mock.patch.object(vectors, "_translate_gram", side_effect=AssertionError):
+            g = gram(family)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert np.array_equal(g, pairwise(family, family))
 
 
 def test_gram_scatters_each_block_once():

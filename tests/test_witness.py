@@ -335,6 +335,18 @@ def test_orbit_budget_and_validation():
         almost_orthogonal_orbit(DenseOperator(np.eye(4, dtype=complex)), 4, 0.1)
 
 
+def test_budget_capped_orbit_builds_when_its_recurrence_clears_eps():
+    # the default budget caps (32, 0.05) at m = 45,955, where sqrt(2n/m) = 0.037
+    cert = almost_orthogonal_orbit(BilateralShift(), 32, 0.05)
+    assert cert.params["budget_limited"] and cert.passed()
+    assert cert.recurrence == pytest.approx(math.sqrt(64 / cert.params["window_length"]), rel=1e-9)
+    # one entry short of the window whose recurrence is 0.999 eps
+    m_min = math.ceil(64 / (0.999 * 0.05) ** 2)
+    with pytest.raises(WindowBudgetError) as exc:
+        almost_orthogonal_orbit(BilateralShift(), 32, 0.05, window_budget=m_min * 32 * 34 - 1)
+    assert exc.value.required == m_min * 32 * 34
+
+
 def test_orbit_window_policy_recorded():
     cert = almost_orthogonal_orbit(BilateralShift(), 8, 0.1, window_budget=10**6)
     assert cert.params["window_length"] == 6400
