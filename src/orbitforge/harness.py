@@ -18,6 +18,7 @@ verified statement so a failure is readable without the source.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import Check
-from .errors import DegenerateInputError, NumericalError
+from .errors import DegenerateInputError, NumericalError, PreconditionError
 from .flatten import flat_subspace
 from .moments import circle_moment_match
 from .nrange import diagonal_compression_subspace
@@ -232,12 +233,35 @@ def _check_orbit_certificate(params, seed):
     return dict(norm, n=n, eps=eps), almost_orthogonal_orbit(op, n, eps, window_budget=budget)
 
 
+def _require_root_of_unity(lam, n):
+    """Refuse lam unless |lam^n - 1| <= 1e-9, naming the nearest n-th root.
+
+    The fold y of the orbit has (T - lam) y = lam^{1-n} (T^n x - lam^n x),
+    so its residual meets 3/n only when lam^n = 1; 1e-9 is the fold's own
+    tolerance on |lam| = 1.  n < 1 is left to the orbit builder's refusal.
+    """
+    try:
+        if n < 1 or abs(lam ** n - 1.0) <= 1e-9:
+            return
+    except OverflowError:
+        pass
+    if not cmath.isfinite(lam):
+        raise DegenerateInputError(f"lam = {lam!r} is not finite")
+    k = round(n * cmath.phase(lam) / (2.0 * math.pi)) % n
+    raise PreconditionError(
+        f"the fold's 3/n bound needs lam^n = 1, but lam = {lam:.6g} is not a "
+        f"root of unity of order n = {n}; the nearest is exp(2 pi i {k}/{n}) "
+        f"= {cmath.exp(2j * math.pi * k / n):.6g}"
+    )
+
+
 def _check_orbit_reverse_eigenvector(params, seed):
     op, budget, norm = _model(params, "bilateral-shift")
     n = _param(params, "n", 8, _int_param)
     # n < 1 is refused by the builder, not by a ZeroDivisionError here
     eps = _param(params, "eps", 1.0 / max(n, 1), float)
     lam = _param(params, "lam", 1.0, _complex_param)
+    _require_root_of_unity(lam, n)
     cert = almost_orthogonal_orbit(op, n, eps, window_budget=budget)
     pair = orbit_to_approx_eigenvector(op, cert.x, lam, n)
     record = verify_eigenpair(op, pair.vector, lam, n)

@@ -54,17 +54,19 @@ def _as_fraction(x):
 
 
 def admissible_radius_exact(rho, n):
-    """r(rho, n) = 1/b_n as an exact Fraction."""
+    """r(rho, n) = 1/b_n as an exact Fraction.
+
+    Unrolled, b_n = sum_{k=1}^n 2^{n-k} rho^{-k}, so for rho = p/q in lowest
+    terms r = p^n / sum_k (2p)^{n-k} q^k: one integer sum and one gcd.
+    """
     n = int(n)
     if n < 1:
         raise DegenerateInputError("need at least one moment")
     rho = _as_fraction(rho)
     if rho <= 0:
         raise DegenerateInputError("rho must be positive")
-    b = 1 / rho
-    for k in range(2, n + 1):
-        b = 2 * b + rho ** -k
-    return 1 / b
+    p, q = rho.numerator, rho.denominator
+    return Fraction(p ** n, sum((2 * p) ** (n - k) * q ** k for k in range(1, n + 1)))
 
 
 def admissible_radius(rho, n):

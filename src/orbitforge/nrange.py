@@ -60,8 +60,6 @@ from .operators import (
     as_power,
     compress,
     power_forms,
-    _safe_scale,
-    spectral_error_bound,
 )
 from .spectra import (
     approx_eigenvector_family,
@@ -177,10 +175,11 @@ def _wedge_bounds(h0, h1, gap, eps):
     one more eps covers a computed value on the arc sitting above its exact h,
     and 4u|z*| the rounding of the formula and of the end-or-vertex decision.
     """
-    v = np.sqrt((h0 - h1) ** 2 + 4.0 * h0 * h1 * np.sin(gap / 2.0) ** 2) / np.sin(gap)
-    inside = (h1 >= h0 * np.cos(gap)) & (h0 >= h1 * np.cos(gap))
+    sin, cos = np.sin(gap), np.cos(gap)
+    v = np.sqrt((h0 - h1) ** 2 + 4.0 * h0 * h1 * np.sin(gap / 2.0) ** 2) / sin
+    inside = (h1 >= h0 * cos) & (h0 >= h1 * cos)
     top = np.maximum(np.maximum(h0, h1), np.where(inside, v, -np.inf))
-    return top + (1.0 + 2.0 / np.sin(gap)) * eps + 4.0 * UNIT_ROUNDOFF * np.abs(v)
+    return top + (1.0 + 2.0 / sin) * eps + 4.0 * UNIT_ROUNDOFF * np.abs(v)
 
 
 def numerical_radius(op, n_angles=720, with_upper=False):
@@ -198,13 +197,14 @@ def numerical_radius(op, n_angles=720, with_upper=False):
 
     Each round splits at its midpoint every arc whose wedge bound
     (:func:`_wedge_bounds`) lies in the upper half of [best h, top bound],
-    solving all the midpoints in one stacked call.  It stops once no bound
-    exceeds the best h, once the arc holding the top
-    bound is narrower than 2 g_min, below which the 2 eps/sin g margin
-    outgrows the wedge excess (about h'' g^2/8), or once another round would
-    take more than ``n_angles`` solves.  One parabolic step through the best
-    angle and its two neighbours, within the same cap, then polishes the
-    lower end.  A matrix outside the range of
+    solving all the midpoints in one stacked call and computing the bounds
+    of the two halves of each split arc only: every other arc keeps its
+    ends, so its bound stands.  It stops once no bound exceeds the best h,
+    once the arc holding the top bound is narrower than 2 g_min, below which
+    the 2 eps/sin g margin outgrows the wedge excess (about h'' g^2/8), or
+    once another round would take more than ``n_angles`` solves.  One
+    parabolic step through the best angle and its two neighbours, within the
+    same cap, then polishes the lower end.  A matrix outside the range of
     :func:`~orbitforge.operators._safe_scale` is searched as the exact
     power-of-two multiple it gives, and w and the bound scaled back.
 
@@ -212,31 +212,48 @@ def numerical_radius(op, n_angles=720, with_upper=False):
     ``with_upper`` also the top wedge bound left, an upper enclosure of w(T)
     and of every computed h.
     """
-    a = _as_dense(op).matrix
-    scale = _safe_scale(a)
-    if scale != 1.0:
-        a = a * scale
+    scale, a, eps = _as_dense(op)._scaled
+    ah = a.conj().T
     grid = _angle_grid(n_angles)
     n_angles = len(grid)
     half = grid[:(n_angles + 1) // 2 : max(1, min(_COARSE_STRIDE, n_angles // 8))]
     thetas = np.concatenate((half, half + np.pi))
     values = _support_values(a, half).ravel()
-    eps = spectral_error_bound(a)
+    gaps = np.diff(thetas, append=TWO_PI)
+    bounds = _wedge_bounds(values, np.roll(values, -1), gaps, eps).tolist()
+    # the search keeps its angles, values, arc widths and bounds in lists of
+    # floats: a round then costs numpy calls for its new entries only
+    thetas, values, gaps = thetas.tolist(), values.tolist(), gaps.tolist()
     g_min = 4.0 * (16.0 * len(a) * UNIT_ROUNDOFF) ** (1.0 / 3.0)  # 4 (eps/||A||_F)^(1/3)
     while True:
-        gaps = np.diff(thetas, append=TWO_PI)
-        bounds = _wedge_bounds(values, np.roll(values, -1), gaps, eps)
-        best, top = values.max(), bounds.max()
-        split = np.flatnonzero(bounds >= (best + top) / 2.0)
+        best, top = max(values), max(bounds)
+        split = [i for i, b in enumerate(bounds) if b >= (best + top) / 2.0]
         room = n_angles - len(thetas)
-        if top <= best or gaps[np.argmax(bounds)] < 2.0 * g_min or not 0 < len(split) <= room:
+        if top <= best or gaps[bounds.index(top)] < 2.0 * g_min or not 0 < len(split) <= room:
             break
-        mids = thetas[split] + gaps[split] / 2.0
-        thetas = np.insert(thetas, split + 1, mids)
-        values = np.insert(values, split + 1, _support_values(a, mids)[0])
+        mids = [thetas[i] + gaps[i] / 2.0 for i in split]
+        if len(mids) * a.size <= _STACK_ENTRIES:
+            t = np.array(mids)[:, None, None]
+            new = np.linalg.eigvalsh((np.exp(-1j * t) * a + np.exp(1j * t) * ah) / 2.0)[:, -1]
+        else:
+            new = _support_values(a, mids)[0]
+        # arc i splits into [theta_i, mid] and [mid, theta_{i+1}] (2 pi last)
+        new, ends = new.tolist(), thetas[1:] + [TWO_PI]
+        h0 = [values[i] for i in split] + new
+        h1 = new + [values[(i + 1) % len(values)] for i in split]
+        g = [m - thetas[i] for i, m in zip(split, mids)]
+        g += [ends[i] - m for i, m in zip(split, mids)]
+        wedges = _wedge_bounds(np.array(h0), np.array(h1), np.array(g), eps).tolist()
+        k = len(split)
+        for j in reversed(range(k)):  # right to left: earlier indices stay put
+            i = split[j]
+            thetas.insert(i + 1, mids[j])
+            values.insert(i + 1, new[j])
+            gaps[i:i + 1] = g[j], g[k + j]
+            bounds[i:i + 1] = wedges[j], wedges[k + j]
 
-    k = int(np.argmax(values))
-    w, theta = float(values[k]), float(thetas[k])
+    k = values.index(best)
+    w, theta = values[k], thetas[k]
     if len(thetas) < n_angles:
         # vertex of the parabola through the best angle and its neighbours
         d0, d1 = (theta - thetas[k - 1]) % TWO_PI, gaps[k]
@@ -248,7 +265,7 @@ def numerical_radius(op, n_angles=720, with_upper=False):
             if h > w:
                 w, theta = h, t
     if with_upper:
-        return w / scale, theta % TWO_PI, float(top) / scale
+        return w / scale, theta % TWO_PI, top / scale
     return w / scale, theta % TWO_PI
 
 
@@ -263,7 +280,8 @@ def radius_norm_bounds(op, n_angles=720):
     verdict means "not refuted by the enclosures": ``lower_holds`` is
     radius - eps <= norm_upper, ``upper_holds`` is norm_lower <= 2
     radius_upper, with no further slack, since the Jordan block J2 has
-    ||T|| = 2 w(T) exactly.
+    ||T|| = 2 w(T) exactly.  The operator computes its scale and eps once
+    for all three.
     """
     op = _as_dense(op)
     w, _, w_upper = numerical_radius(op, n_angles, with_upper=True)
@@ -274,7 +292,7 @@ def radius_norm_bounds(op, n_angles=720):
         "norm_lower": norm_lower,
         "norm_upper": norm_upper,
         "norm_bound": norm_upper,
-        "lower_holds": w - spectral_error_bound(op.matrix) <= norm_upper,
+        "lower_holds": w - op._error_bound() <= norm_upper,
         "upper_holds": norm_lower <= 2.0 * w_upper,
     }
 

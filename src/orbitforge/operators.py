@@ -11,6 +11,7 @@ enclosure), which downstream constructions use in their schedule formulas.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -339,6 +340,14 @@ def _safe_scale(a):
     return math.ldexp(1.0, min(-e, 1000))  # a subnormal A gets 2^1000
 
 
+def _scaled_error_bound(a):
+    """(scale, A scale, 16 n u ||A scale||_F) with scale from :func:`_safe_scale`."""
+    scale = _safe_scale(a)
+    if scale != 1.0:
+        a = a * scale
+    return scale, a, 16.0 * a.shape[0] * UNIT_ROUNDOFF * float(np.linalg.norm(a))
+
+
 def spectral_error_bound(a):
     """eps = 16 n u ||A||_F for an n x n matrix A.
 
@@ -350,9 +359,8 @@ def spectral_error_bound(a):
     multiple :func:`_safe_scale` gives and divided back, so its sum of
     squares neither underflows nor overflows.
     """
-    scale = _safe_scale(a)
-    fro = float(np.linalg.norm(a * scale if scale != 1.0 else a))
-    return 16.0 * a.shape[0] * UNIT_ROUNDOFF * fro / scale
+    scale, _, eps = _scaled_error_bound(a)
+    return eps / scale
 
 
 class DenseOperator:
@@ -369,6 +377,12 @@ class DenseOperator:
         self.matrix = m
         self.dim = m.shape[0]
 
+    @cached_property
+    def _scaled(self):
+        """:func:`_scaled_error_bound` of the frozen matrix, computed once for
+        the radius search, the norm enclosure and the radius verdicts."""
+        return _scaled_error_bound(self.matrix)
+
     def apply(self, v):
         return WindowVector.from_dense(self.matrix @ v.to_dense(self.dim))
 
@@ -376,8 +390,13 @@ class DenseOperator:
         """[sigma - eps, sigma + eps] around ||A||_2: sigma from LAPACK's SVD
         (``np.linalg.norm(A, 2)``), eps from :func:`spectral_error_bound`."""
         sigma = float(np.linalg.norm(self.matrix, 2))
-        eps = spectral_error_bound(self.matrix)
+        eps = self._error_bound()
         return sigma - eps, sigma + eps
+
+    def _error_bound(self):
+        """:func:`spectral_error_bound` of the matrix."""
+        scale, _, eps = self._scaled
+        return eps / scale
 
     def norm_bound(self):
         """Upper bound for the spectral norm: the top of :meth:`norm_enclosure`."""

@@ -491,10 +491,11 @@ def almost_orthogonal_orbit(base, n, eps, window_budget=None):
 def _assemble_dft_tower(u, family, n):
     """Stack u and the family into rows of the unitary DFT mix.
 
-    Returns the levels w_j = n^{-1/2} sum_k lambda^{jk} u_k, the rows of V
-    on the shared index set.  Root
-    phases are reduced mod n in integers, so the DFT inversion identity
-    sum_j w_j = sqrt(n) u_0 suffers no phase drift.
+    Returns the levels w_j = n^{-1/2} sum_k lambda^{jk} u_k on the shared
+    index set, checked for order once: level j scales the stacked blocks by
+    their phases, dropping exact zeros.  Root phases are reduced mod n in
+    integers, so the DFT inversion identity sum_j w_j = sqrt(n) u_0 suffers
+    no phase drift.
     """
     blocks = [u] + list(family)
     all_idx = np.concatenate([b.indices for b in blocks])
@@ -502,18 +503,21 @@ def _assemble_dft_tower(u, family, n):
     idx = all_idx[order]
     if len(idx) > 1 and not np.all(np.diff(idx) > 0):
         raise NumericalError("tower blocks overlap; realization bug")
-    roots = _unit_roots(n)
-    scale = 1.0 / math.sqrt(n)
-    V = np.zeros((n, len(idx)), np.complex128)
-    offset = 0
-    positions = np.empty(len(idx), np.int64)
-    positions[order] = np.arange(len(idx))
-    for k, b in enumerate(blocks):
-        cols = positions[offset : offset + len(b.indices)]
-        coef = roots[(np.arange(n) * k) % n] * scale
-        V[:, cols] = np.outer(coef, b.values)
-        offset += len(b.indices)
-    return [WindowVector(idx, row) for row in V]
+    values = np.concatenate([b.values for b in blocks])[order]
+    block = np.repeat(np.arange(len(blocks)), [len(b.values) for b in blocks])[order]
+    phases = _unit_roots(n)[np.outer(np.arange(n), np.arange(len(blocks))) % n]
+    levels = []
+    for c in phases * (1.0 / math.sqrt(n)):
+        # phase times value, in that order: a fused complex multiply rounds
+        # the swapped product differently
+        row = c[block] * values
+        keep = row != 0
+        levels.append(
+            WindowVector(idx, row, _checked=True)
+            if keep.all()
+            else WindowVector(idx[keep], row[keep], _checked=True)
+        )
+    return levels
 
 
 def rokhlin_tower(base, n, eps, u=None, window_budget=None):

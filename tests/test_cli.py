@@ -1,6 +1,7 @@
 """Command line: exit-code contract, config strictness, replay fidelity."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -260,6 +261,24 @@ def test_verify_refuses_periodic_rule_kinds(model, tmp_path, capsys):
     assert main(["verify", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "refused" in err and "kind 'periodic'" in err
+
+
+@pytest.mark.parametrize(
+    "turns, root", [(0.9 / 8, "exp(2 pi i 1/8)"), (1 / 16, "exp(2 pi i ")],
+    ids=["near-1/8", "e^(i pi/8)"],
+)
+def test_verify_refuses_a_fold_at_a_non_root_of_unity(turns, root, tmp_path, capsys):
+    # (T - lam) y = lam^{1-n} (T^n x - lam^n x): lam^8 != 1 cannot meet 3/8,
+    # so the suite refuses before building the orbit instead of failing
+    lam = [math.cos(2 * math.pi * turns), math.sin(2 * math.pi * turns)]
+    cfg = tmp_path / "fold.ini"
+    cfg.write_text(
+        "[experiment]\ncommand = verify\n\n[params]\n"
+        f'check = "orbit_reverse_eigenvector"\nn = 8\nlam = {lam}\n'
+    )
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "refused" in err and f"nearest is {root}" in err
 
 
 def test_verify_failure_exits_one(capsys):

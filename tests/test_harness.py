@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from orbitforge.errors import DegenerateInputError
+from orbitforge.errors import DegenerateInputError, PreconditionError
 from orbitforge.harness import (
     CHECK_IDS,
     STATEMENTS,
@@ -130,6 +130,21 @@ def test_integral_integer_parameter_is_read_as_int(n):
 def test_zero_orbit_length_is_refused_before_its_default_eps():
     with pytest.raises(DegenerateInputError, match="orbit length"):
         run_check("orbit_reverse_eigenvector", {"n": 0})
+
+
+def test_fold_at_a_root_of_unity_of_the_orbit_length_passes():
+    # lam = i is an 8th root: the 3/n line and its bound are unchanged
+    for lam in (1.0, [0.0, 1.0], [math.cos(math.pi / 4), math.sin(math.pi / 4)]):
+        c = run_check("orbit_reverse_eigenvector", {"lam": lam})
+        assert c.passed()
+        assert c.results[-1].label == "eigen_residual" and c.results[-1].bound == 3.0 / 8
+
+
+def test_fold_refuses_an_off_circle_or_non_finite_lam():
+    with pytest.raises(PreconditionError, match=r"nearest is exp\(2 pi i 0/4\)"):
+        run_check("orbit_reverse_eigenvector", {"lam": 0.5, "n": 4})
+    with pytest.raises(DegenerateInputError, match="not finite"):
+        run_check("orbit_reverse_eigenvector", {"lam": "nan"})
 
 
 def test_certificate_failure_becomes_failed_check():

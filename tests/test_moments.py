@@ -44,11 +44,24 @@ def test_radius_frozen_values():
     assert admissible_radius(1, 3) == pytest.approx(1 / 7)
 
 
+def test_radius_closed_sum_matches_the_recurrence():
+    # r = p^n / sum_k (2p)^{n-k} q^k is 1/b_n for b_k = 2 b_{k-1} + rho^-k
+    for rho in (Fraction(1, 2), 1, 2, Fraction(6, 4), Fraction(3, 7), 0.75, Fraction(10**9 + 7, 3)):
+        b = 1 / Fraction(rho)
+        for n in range(1, 25):
+            if n > 1:
+                b = 2 * b + Fraction(rho) ** -n
+            assert admissible_radius_exact(rho, n) == 1 / b
+
+
 def test_radius_validation():
     with pytest.raises(DegenerateInputError):
         admissible_radius_exact(1, 0)
     with pytest.raises(DegenerateInputError):
         admissible_radius_exact(0, 3)
+    for rho in (-1, Fraction(-1, 2), math.inf, math.nan, 1j, "1/2"):
+        with pytest.raises(DegenerateInputError):
+            admissible_radius_exact(rho, 3)
 
 
 # -- root-of-unity collapse (the identity the exact ring leans on) --------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitforge import nrange
+from orbitforge import nrange, operators
 from orbitforge.flatten import flat_subspace
 from orbitforge.errors import (
     DegenerateInputError,
@@ -30,7 +30,9 @@ from orbitforge.operators import (
     MultiplicationGrid,
     OperatorPower,
     QuadraticIrrationalRotation,
+    TWO_PI,
     UnilateralShift,
+    _safe_scale,
     apply_power,
     spectral_error_bound,
 )
@@ -267,6 +269,96 @@ def test_disk_like_ranges_stay_within_the_solve_cap(monkeypatch, n_angles):
         counts = _count_solves(monkeypatch)
         numerical_radius(_jordan(n), n_angles)
         assert counts["matrices"] <= n_angles
+
+
+def _reference_wedge_bounds(h0, h1, gap, eps):
+    v = np.sqrt((h0 - h1) ** 2 + 4.0 * h0 * h1 * np.sin(gap / 2.0) ** 2) / np.sin(gap)
+    inside = (h1 >= h0 * np.cos(gap)) & (h0 >= h1 * np.cos(gap))
+    top = np.maximum(np.maximum(h0, h1), np.where(inside, v, -np.inf))
+    return top + (1.0 + 2.0 / np.sin(gap)) * eps + 4.0 * _U * np.abs(v)
+
+
+def _reference_radius(a, n_angles):
+    """The search as it was before its bookkeeping moved to lists: every
+    round rebuilds the arc widths and the wedge bounds of all arcs."""
+    a = np.asarray(a, complex)
+    scale = _safe_scale(a)
+    if scale != 1.0:
+        a = a * scale
+    grid = nrange._angle_grid(n_angles)
+    n_angles = len(grid)
+    half = grid[:(n_angles + 1) // 2 : max(1, min(32, n_angles // 8))]
+    thetas = np.concatenate((half, half + np.pi))
+    values = nrange._support_values(a, half).ravel()
+    eps = spectral_error_bound(a)
+    g_min = 4.0 * (16.0 * len(a) * _U) ** (1.0 / 3.0)
+    while True:
+        gaps = np.diff(thetas, append=TWO_PI)
+        bounds = _reference_wedge_bounds(values, np.roll(values, -1), gaps, eps)
+        best, top = values.max(), bounds.max()
+        split = np.flatnonzero(bounds >= (best + top) / 2.0)
+        room = n_angles - len(thetas)
+        if top <= best or gaps[np.argmax(bounds)] < 2.0 * g_min or not 0 < len(split) <= room:
+            break
+        mids = thetas[split] + gaps[split] / 2.0
+        thetas = np.insert(thetas, split + 1, mids)
+        values = np.insert(values, split + 1, nrange._support_values(a, mids)[0])
+    k = int(np.argmax(values))
+    w, theta = float(values[k]), float(thetas[k])
+    if len(thetas) < n_angles:
+        d0, d1 = (theta - thetas[k - 1]) % TWO_PI, gaps[k]
+        f0, f1 = w - values[k - 1], w - values[(k + 1) % len(values)]
+        den = d0 * f1 + d1 * f0
+        if den > 0.0:
+            t = theta + (d1 * d1 * f0 - d0 * d0 * f1) / (2.0 * den)
+            h = float(nrange._support_values(a, (t,))[0, 0])
+            if h > w:
+                w, theta = h, t
+    return w / scale, theta % TWO_PI, float(top) / scale
+
+
+def _bit_identity_cases():
+    rng = _rng(31)
+    diag = np.diag(np.exp(2j * math.pi * rng.random(6)) * rng.random(6))
+    roots = np.diag(np.exp(2j * math.pi * np.arange(5) / 5))
+    cases = [diag, np.zeros((3, 3), complex), _jordan(2), np.eye(4, dtype=complex), roots]
+    cases += [_random_matrix(8, 700 + s) for s in range(12)]
+    cases += [_random_matrix(64, 800 + s) for s in range(2)]
+    # outside _safe_scale's range: searched as a power-of-two multiple
+    cases += [1e-300 * _random_matrix(8, 900), 1e300 * _random_matrix(8, 901)]
+    return cases
+
+
+@pytest.mark.parametrize("n_angles", [8, 13, 97, 720])
+def test_search_matches_the_whole_array_rounds_bit_for_bit(monkeypatch, n_angles):
+    # each round recomputes only the new arcs' bounds; the other arcs keep
+    # theirs, so the same angles are solved and the same bits come out
+    for a in _bit_identity_cases():
+        counts = _count_solves(monkeypatch)
+        got = numerical_radius(a, n_angles, with_upper=True)
+        solved = counts["matrices"]
+        counts["matrices"] = 0
+        want = _reference_radius(a, n_angles)
+        assert [float(x).hex() for x in got] == [x.hex() for x in want]
+        assert solved == counts["matrices"]
+
+
+def test_radius_norm_bounds_computes_one_scale_and_one_eps(monkeypatch):
+    calls = {"scale": 0, "eps": 0}
+    for name, key in (("_safe_scale", "scale"), ("_scaled_error_bound", "eps")):
+        def counted(a, _f=getattr(operators, name), _key=key):
+            calls[_key] += 1
+            return _f(a)
+
+        monkeypatch.setattr(operators, name, counted)
+    for a in (_random_matrix(8, 3), 1e-300 * _random_matrix(8, 4)):
+        calls.update(scale=0, eps=0)
+        out = radius_norm_bounds(a)
+        assert calls == {"scale": 1, "eps": 1}
+        eps = spectral_error_bound(np.asarray(a, complex))
+        sigma = float(np.linalg.norm(a, 2))
+        assert (out["norm_lower"], out["norm_upper"]) == (sigma - eps, sigma + eps)
+        assert out["lower_holds"] == (out["radius"] - eps <= out["norm_upper"])
 
 
 def test_normal_matrix_radius_is_enclosed_tightly():

@@ -403,6 +403,37 @@ def test_links_bit_identical_to_subtraction():
     assert got.tobytes() == _links_by_subtraction(BilateralShift(), tower.w).tobytes()
 
 
+@pytest.mark.parametrize("n", [5, 17, 65])
+@pytest.mark.parametrize("tiny", [0.5, 5e-324])
+def test_dft_tower_levels_match_the_outer_product_bit_for_bit(n, tiny):
+    # level j holds n^{-1/2} lambda^{jk} times u_k's values, phase first, on
+    # the shared sorted index set; a product that underflows to an exact
+    # zero is dropped
+    u = WindowVector(np.array([0, 3]), np.array([0.6, 0.8j]))
+    family = [
+        WindowVector(np.arange(10 * k, 10 * k + 4), np.exp(1j * np.arange(4.0) * k))
+        for k in range(1, n - 1)
+    ]
+    family.append(WindowVector(np.array([-7, 1]), np.array([tiny, 0.5])))
+    blocks = [u] + family
+    idx = np.concatenate([b.indices for b in blocks])
+    order = np.argsort(idx)
+    roots = witness._unit_roots(n)
+    dense = np.zeros((n, len(idx)), complex)
+    for k, b in enumerate(blocks):
+        coef = roots[(np.arange(n) * k) % n] * (1.0 / math.sqrt(n))
+        dense[:, np.isin(idx[order], b.indices)] = np.outer(coef, b.values)
+    levels = witness._assemble_dft_tower(u, family, n)
+    for row, w in zip(dense, levels):
+        want = WindowVector(idx[order], row)
+        assert np.array_equal(w.indices, want.indices)
+        assert w.values.tobytes() == want.values.tobytes()
+    if tiny < 1e-300:
+        assert all(len(w.values) == len(idx) - 1 for w in levels)
+    else:
+        assert len({id(w.indices) for w in levels}) == 1
+
+
 def test_rokhlin_tower_refuses_below_threshold():
     with pytest.raises(PreconditionError) as exc:
         rokhlin_tower(BilateralShift(), 64, 0.25)
