@@ -213,7 +213,6 @@ def numerical_radius(op, n_angles=720, with_upper=False):
     and of every computed h.
     """
     scale, a, eps = _as_dense(op)._scaled
-    ah = a.conj().T
     grid = _angle_grid(n_angles)
     n_angles = len(grid)
     half = grid[:(n_angles + 1) // 2 : max(1, min(_COARSE_STRIDE, n_angles // 8))]
@@ -232,13 +231,8 @@ def numerical_radius(op, n_angles=720, with_upper=False):
         if top <= best or gaps[bounds.index(top)] < 2.0 * g_min or not 0 < len(split) <= room:
             break
         mids = [thetas[i] + gaps[i] / 2.0 for i in split]
-        if len(mids) * a.size <= _STACK_ENTRIES:
-            t = np.array(mids)[:, None, None]
-            new = np.linalg.eigvalsh((np.exp(-1j * t) * a + np.exp(1j * t) * ah) / 2.0)[:, -1]
-        else:
-            new = _support_values(a, mids)[0]
         # arc i splits into [theta_i, mid] and [mid, theta_{i+1}] (2 pi last)
-        new, ends = new.tolist(), thetas[1:] + [TWO_PI]
+        new, ends = _support_values(a, mids)[0].tolist(), thetas[1:] + [TWO_PI]
         h0 = [values[i] for i in split] + new
         h1 = new + [values[(i + 1) % len(values)] for i in split]
         g = [m - thetas[i] for i, m in zip(split, mids)]
@@ -286,13 +280,14 @@ def radius_norm_bounds(op, n_angles=720):
     op = _as_dense(op)
     w, _, w_upper = numerical_radius(op, n_angles, with_upper=True)
     norm_lower, norm_upper = op.norm_enclosure()
+    scale, _, eps = op._scaled
     return {
         "radius": w,
         "radius_upper": w_upper,
         "norm_lower": norm_lower,
         "norm_upper": norm_upper,
         "norm_bound": norm_upper,
-        "lower_holds": w - op._error_bound() <= norm_upper,
+        "lower_holds": w - eps / scale <= norm_upper,
         "upper_holds": norm_lower <= 2.0 * w_upper,
     }
 

@@ -390,13 +390,9 @@ class DenseOperator:
         """[sigma - eps, sigma + eps] around ||A||_2: sigma from LAPACK's SVD
         (``np.linalg.norm(A, 2)``), eps from :func:`spectral_error_bound`."""
         sigma = float(np.linalg.norm(self.matrix, 2))
-        eps = self._error_bound()
-        return sigma - eps, sigma + eps
-
-    def _error_bound(self):
-        """:func:`spectral_error_bound` of the matrix."""
         scale, _, eps = self._scaled
-        return eps / scale
+        eps /= scale
+        return sigma - eps, sigma + eps
 
     def norm_bound(self):
         """Upper bound for the spectral norm: the top of :meth:`norm_enclosure`."""
