@@ -2,9 +2,11 @@
 
 Prints, for a grid of (eps, d), the stage counts and thresholds the
 flattening schedule demands, along with the closed-form sup bound and the
-total support span of the witness family.  Builds each subspace for real, so
-large d at small eps will take memory proportional to the total count.  The
-final block dumps the per-power verification rows for one mid-size run.
+total support span of the witness family.  Builds each subspace for real:
+the peak memory is the basis (24 bytes per atom over all stages) plus one
+array of the largest stage (16 bytes per atom), so it grows with the total
+count at large d and small eps.  The final block dumps the per-power
+verification rows for one mid-size run.
 """
 
 from orbitforge import BilateralShift, flat_report_csv, flat_subspace

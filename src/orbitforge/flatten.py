@@ -13,12 +13,12 @@ with exact zero beyond the support span.  Stage r takes s_r > 16 K^2 / t_r^2
 atoms for its threshold t_r (see :class:`FlatSchedule`), a wide margin under
 t_r.
 
-The subspace construction draws all stages from one shared Sidon pool: any
-two atoms in the pool, whatever their stages, realize each difference at most
-once, so every cross-stage compression entry is at most 1/sqrt(s_i s_j) in
-modulus with no separation argument needed.  Stage chunks are offset upward
-so later vectors are exactly orthogonal to the earlier ones and to their
-power images over the declared horizon.
+Stage r computes its own chunk, the next s_r elements, of one Sidon set:
+any two of its atoms realize each difference at most once, so every
+cross-stage compression entry is at most 1/sqrt(s_i s_j) in modulus, and the
+build holds the basis plus one array of the largest stage.  Stage chunks are
+offset upward so later vectors are exactly orthogonal to the earlier ones
+and to their power images over the declared horizon.
 
 Models whose powers do not vanish weakly (diagonal unitaries, grid
 multiplications) are refused with the probe evidence.  A supremum over all n
@@ -109,9 +109,17 @@ def sidon_set(size):
     size = int(size)
     if size < 1:
         raise DegenerateInputError("need a positive set size")
-    p = next_prime(size)
-    j = np.arange(size, dtype=np.int64)
-    return 2 * p * j + (j * j) % p
+    return _sidon_chunk(next_prime(size), 0, size)
+
+
+def _sidon_chunk(p, start, stop):
+    """b_j = 2 p j + (j^2 mod p), j in [start, stop), on two buffers in place."""
+    j = np.arange(start, stop, dtype=np.int64)
+    square = j * j
+    square %= p
+    j *= 2 * p
+    j += square
+    return j
 
 
 # -- decay probing -------------------------------------------------------------
@@ -283,9 +291,9 @@ def _sidon_mix(positions):
 def flat_subspace(op, eps, d, window_budget=None, rng=None):
     """Orthonormal y_1..y_d compressing every positive power below eps.
 
-    Stage r gets s_r atoms at the threshold eps / (2^{r+3} (r+1)), all drawn
-    from one Sidon pool, chunks stacked upward with gaps covering the
-    accumulated time horizon.  The returned record is the one of
+    Stage r gets s_r atoms at the threshold eps / (2^{r+3} (r+1)), its own
+    chunk of ``sidon_set(sum(counts))``, chunks stacked upward with gaps
+    covering the accumulated time horizon.  The returned record is the one of
     :func:`verify_flat_subspace` on the basis, with the schedule: it certifies
     the supremum in closed form (lower-triangular entries bounded by
     1/sqrt(s_i s_j), one aligned pair each) and rechecks sampled powers
@@ -304,15 +312,15 @@ def flat_subspace(op, eps, d, window_budget=None, rng=None):
     thresholds = _stage_thresholds(eps, d)
     counts = tuple(_stage_count(t, K) for t in thresholds)
     meter.charge(sum(counts))
-    pool = sidon_set(sum(counts))
+    p = next_prime(sum(counts))
 
     vectors = []
     times = []
     offset = 1
     start = 0
     for s_r in counts:
-        chunk = pool[start : start + s_r]
-        positions = chunk + (offset - int(chunk[0]))
+        positions = _sidon_chunk(p, start, start + s_r)
+        positions += offset - int(positions[0])
         vectors.append(_sidon_mix(positions))
         start += s_r
         horizon = int(positions[-1]) - int(vectors[0].indices[0]) + 1
@@ -414,7 +422,7 @@ def verify_flat_subspace(op, basis, eps, rng=None):
     """The flat-subspace statement re-measured from the basis, as a record.
 
     B[i, j] = 1/sqrt(s_i s_j), j <= i, bounds |<T^n b_j, b_i>| at every n >= 1
-    (s_i atoms in b_i, one aligned pair of the Sidon pool per entry); stages
+    (s_i atoms in b_i, one aligned pair of the Sidon set per entry); stages
     <= r are dead, their block zero, from n = times[r] (bottom of b_0 to top
     of b_r) on.  Lines: gram_identity max |Gram - I| <= 1e-10, sup_closed_form
     ||B|| <= eps, stage_tails_rescaled max_r 2^{r+1} ||B, stages <= r dead||

@@ -130,15 +130,14 @@ class WindowVector:
         if not _checked:
             if indices.ndim != 1 or values.ndim != 1 or len(indices) != len(values):
                 raise DegenerateInputError("indices and values must be 1-d and equal length")
-            # before the order check: the int64 difference wraps past 2**62
             if len(indices) and (indices.min() <= -_INDEX_LIMIT or indices.max() >= _INDEX_LIMIT):
                 raise DimensionMismatchError("indices must lie strictly within +-2**62")
-            if len(indices) > 1 and not np.all(np.diff(indices) > 0):
+            # neighbour compares: one bool per entry, no int64 difference array
+            if not np.all(indices[1:] > indices[:-1]):
                 raise DegenerateInputError("indices must be strictly increasing")
-            keep = values != 0
-            if not keep.all():
-                indices = indices[keep]
-                values = values[keep]
+            if not values.all():
+                keep = values != 0
+                indices, values = indices[keep], values[keep]
         self._base = self._indices = _freeze(indices if indices.flags.owndata else indices.copy())
         self._offset = 0
         self.values = _freeze(values if values.flags.owndata else values.copy())
@@ -366,6 +365,9 @@ def combine(terms):
     return WindowVector(indices, acc[keep], _checked=True)
 
 
+# entries per cross_gram dense block (4 MB, 2^14 columns for 16 rows) or _shared compare
+_BLOCK_ENTRIES = 1 << 18
+
 # a slice add pays about a microsecond of call overhead and a fancy index up
 # to tens of nanoseconds per entry: runs of a few hundred entries break even
 _RUN_SLICE_MIN = 256
@@ -408,14 +410,18 @@ def _merged(supports):
     return merged
 
 
-def _shared(a, b):
-    """Ascending positions (in a, in b) of the indices two sorted arrays share.
+def _shared(a, b, shift=0):
+    """Ascending positions (in a, in b) of the indices a + shift and b share.
 
-    A shared index shows up as two equal neighbours of their merge; only the
-    shared indices are then looked up in each array."""
-    merged = _merged([a, b])
-    common = merged[np.flatnonzero(merged[1:] == merged[:-1])]
-    return np.searchsorted(a, common), np.searchsorted(b, common)
+    The merge of :func:`_merged`, a shifted in its buffer.  A shared index is
+    two equal neighbours of the merge, compared one block at a time (a whole
+    mask adds an eighth to the peak); only those are looked up in a and b."""
+    merged = np.concatenate((a, b))
+    merged[:len(a)] += shift
+    merged.sort(kind="stable")
+    blocks = [merged[k:k + _BLOCK_ENTRIES + 1] for k in range(0, len(merged), _BLOCK_ENTRIES)]
+    common = np.concatenate([m[np.flatnonzero(m[1:] == m[:-1])] for m in blocks] or [merged])
+    return np.searchsorted(a, common - shift), np.searchsorted(b, common)
 
 
 def inner(u, v):
@@ -423,8 +429,8 @@ def inner(u, v):
 
     Disjoint index ranges give 0j at once and equal supports one direct sum.
     Otherwise each base array is cut to the shared index range before the
-    merge of :func:`_shared`, which compares u's cut, shifted by the offset
-    difference, with v's.  Terms are summed in increasing index order.
+    merge of :func:`_shared`, which shifts u's cut by the offset difference
+    in its merge buffer.  Terms are summed in increasing index order.
     """
     if len(u) == 0 or len(v) == 0:
         return 0j
@@ -440,12 +446,8 @@ def inner(u, v):
     lo, hi = max(a0, b0), min(a1, b1)
     cut_a = slice(np.searchsorted(a, lo - u._offset), np.searchsorted(a, hi - u._offset, "right"))
     cut_b = slice(np.searchsorted(b, lo - v._offset), np.searchsorted(b, hi - v._offset, "right"))
-    sel_a, sel_b = _shared(a[cut_a] + shift if shift else a[cut_a], b[cut_b])
+    sel_a, sel_b = _shared(a[cut_a], b[cut_b], shift)
     return complex(np.sum(u.values[cut_a][sel_a] * np.conj(v.values[cut_b][sel_b])))
-
-
-# entries per dense block of cross_gram (4 MB): 2^14 columns for 16 rows
-_BLOCK_ENTRIES = 1 << 18
 
 
 def _dense_block(vectors, lo, width):

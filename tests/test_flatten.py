@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -17,12 +18,14 @@ from orbitforge.errors import (
     UnsupportedModelError,
     WindowBudgetError,
 )
+from orbitforge import flatten
 from orbitforge.flatten import (
     DecayProfile,
     flat_report_csv,
     flat_subspace,
     next_prime,
     sidon_set,
+    verify_flat_subspace,
     weak_decay_probe,
 )
 from orbitforge.operators import (
@@ -91,6 +94,23 @@ def test_sidon_rejects_empty():
 def test_sidon_distinctness_property(size):
     diffs = brute_difference_multiset(sidon_set(size))
     assert len(np.unique(diffs)) == len(diffs)
+
+
+def pool_reference(total):
+    """The whole set at once, as one expression: 2 p j + (j^2 mod p), j < total."""
+    p = next_prime(total)
+    j = np.arange(total, dtype=np.int64)
+    return 2 * p * j + (j * j) % p
+
+
+# a prime total and one just above it, for each of two primes
+@pytest.mark.parametrize("total", [1, 2, 3, 96, 97, 98, 7919, 7920, 65537, 65538])
+def test_stage_chunks_concatenate_to_sidon_set(total):
+    p = next_prime(total)
+    cuts = sorted({0, 1, total // 3, total // 2, total - 1, total})
+    chunks = [flatten._sidon_chunk(p, a, b) for a, b in zip(cuts, cuts[1:])]
+    assert sidon_set(total).tobytes() == pool_reference(total).tobytes()
+    assert np.concatenate(chunks).tobytes() == pool_reference(total).tobytes()
 
 
 # -- decay probes ------------------------------------------------------------------
@@ -261,3 +281,47 @@ def test_stage_counts_certify_their_thresholds(eps):
         s_r = stage_count_oracle(eps, r)
         thr = Fraction(eps) / (2 ** (r + 3) * (r + 1))
         assert Fraction(s_r) * thr * thr > 16
+
+
+def pool_basis(counts):
+    """The flat basis as built from the whole Sidon set: stage chunks cut
+    from :func:`pool_reference` and moved up past the previous horizon."""
+    pool = pool_reference(sum(counts))
+    basis, times, offset, start = [], [], 1, 0
+    for s_r in counts:
+        chunk = pool[start : start + s_r]
+        positions = chunk + (offset - int(chunk[0]))
+        basis.append(WindowVector(positions, np.full(s_r, 1.0 / math.sqrt(s_r), np.complex128)))
+        start += s_r
+        times.append(int(positions[-1]) - int(basis[0].indices[0]) + 1)
+        offset = int(positions[-1]) + times[-1] + 1
+    return basis, tuple(times)
+
+
+@pytest.mark.parametrize("eps,d", [(1.0, 2), (0.5, 2), (0.5, 3), (0.25, 3)])
+def test_flat_basis_bit_identical_to_pool_build(eps, d):
+    op = BilateralShift()
+    cert = flat_subspace(op, eps, d, rng=0)
+    basis, times = pool_basis(cert.schedule.counts)
+    ref = verify_flat_subspace(op, basis, eps, rng=0)
+    for got, want in zip(cert.basis, ref.basis, strict=True):
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+    assert cert.schedule.times == times
+    # repr tells -0.0 from 0.0 and prints every float exactly
+    assert repr([c.to_json() for c in cert.lines()]) == repr([c.to_json() for c in ref.lines()])
+    assert repr(cert.per_n) == repr(ref.per_n)
+
+
+def test_flat_build_peak_is_the_basis_plus_one_stage_array():
+    """Beyond the basis it returns, building and rechecking the flat subspace
+    holds at most about one array of 16 bytes per atom of the largest stage
+    (the Gram diagonal's conjugate, or the widest merge of two supports)."""
+    tracemalloc.start()
+    try:
+        cert = flat_subspace(BilateralShift(), 0.25, 3, rng=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(v.indices.nbytes + v.values.nbytes for v in cert.basis)
+    assert peak - held <= 1.1 * 16 * max(cert.schedule.counts)

@@ -347,12 +347,28 @@ def merge_cases(draw):
     return draw(st.permutations([on(draw, base), on(draw, other)]))
 
 
-@given(st.one_of(merge_cases(), support_pairs()))
-def test_inner_bit_identical_to_intersect1d(pair):
+@given(st.one_of(merge_cases(), support_pairs()), st.data())
+def test_inner_bit_identical_to_intersect1d(pair, data):
     u, v = pair
     assert bits(inner(u, v)) == bits(inner_by_intersect(u, v))
     _, pa, pb = np.intersect1d(u.indices, v.indices, assume_unique=True, return_indices=True)
     sel_u, sel_v = vectors._shared(u.indices, v.indices)
+    assert sel_u.tolist() == pa.tolist() and sel_v.tolist() == pb.tolist()
+    if not len(u):
+        return
+    # u again, stored as a base array k below its indices plus the offset k:
+    # inner hands the offset difference to _shared, which shifts in its merge
+    # buffer.  k ranges up to the shifts that put an end of the base at +-2^62
+    lo, hi = u.support_range()
+    ks = [k for k in (1, -7, 10 ** 15, -(10 ** 15), lo + LIMIT - 1, hi - LIMIT + 1)
+          if -LIMIT < lo - k and hi - k < LIMIT]
+    k = data.draw(st.sampled_from(ks))
+    base = np.array([i - k for i in u.indices.tolist()], np.int64)
+    moved = WindowVector(base, u.values).translate(k)
+    assert moved._offset == k and moved.indices.tolist() == u.indices.tolist()
+    for a, b in ((moved, v), (v, moved)):
+        assert bits(inner(a, b)) == bits(inner_by_intersect(a, b))
+    sel_u, sel_v = vectors._shared(base, v.indices, k)
     assert sel_u.tolist() == pa.tolist() and sel_v.tolist() == pb.tolist()
 
 
